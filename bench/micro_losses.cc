@@ -27,7 +27,7 @@
 #include "core/rng.h"
 #include "darec/losses.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 #include "tensor/alloc_stats.h"
 #include "tensor/autograd.h"
 #include "tensor/csr.h"

@@ -1,7 +1,7 @@
 // Online serving benchmark: the serve::Server microbatched queue against the
 // single-request baseline (the seed's per-user scoring loop, frozen at the
 // seed's -O2 — the same baseline convention as topk_bench/micro_kernels),
-// fp32 and int8, under two load shapes:
+// under two load shapes:
 //
 //  - saturation: `producers` threads burst-submit `requests` top-K requests;
 //    users/sec = requests / wall time. The headline gate: microbatched
@@ -17,7 +17,6 @@
 //  - queue_off_fp32:   serve::Server with max_batch=1 (engine, no batching)
 //  - microbatch_fp32:  max_batch=64, 1ms deadline; a same-content snapshot
 //                      swap happens mid-saturation
-//  - microbatch_int8:  same queue, int8 quantized scoring
 //  - overload:         open-loop Poisson at 2x the measured microbatch_fp32
 //                      capacity, ladder_on (bounded queue + degradation
 //                      ladder + 20ms request deadlines) vs ladder_off
@@ -25,7 +24,7 @@
 //                      served p99, and queue-depth samples — ladder_off's
 //                      depth grows monotonically, ladder_on's stays bounded.
 //
-// The three closed-loop Server modes run with max_queue=0 (unbounded) and
+// The two closed-loop Server modes run with max_queue=0 (unbounded) and
 // the ladder disabled: saturation deliberately bursts every request up
 // front, which bounded admission would (correctly) shed.
 //
@@ -33,7 +32,6 @@
 //  - fp32 results — queue off, queue on at any batch mix, and across the
 //    mid-run snapshot swap — are bitwise identical to serial
 //    Recommender::RecommendTopK (which the seed loop also matches).
-//  - int8 mean top-K overlap vs fp32 >= 0.9.
 //
 // Writes BENCH_serve.json.
 //
@@ -81,7 +79,6 @@ namespace {
 
 using darec::core::Stopwatch;
 using darec::serve::ModelSnapshot;
-using darec::serve::Precision;
 using darec::serve::Server;
 using darec::serve::ServerOptions;
 using darec::serve::TopKResult;
@@ -180,7 +177,6 @@ struct ModeReport {
   double saturation_users_per_sec = 0.0;
   int64_t max_batch_observed = 0;
   PoissonReport poisson;
-  double mean_topk_overlap = -1.0;  // int8 only; -1 = not applicable
 };
 
 double Percentile(const std::vector<double>& sorted, double q) {
@@ -192,17 +188,16 @@ double Percentile(const std::vector<double>& sorted, double q) {
 }
 
 /// Burst-submits `num_requests` from `producers` threads (users round-robin),
-/// waits for every future, and returns users/sec. fp32 results are checked
-/// bitwise against `reference`; int8 results accumulate top-K overlap into
-/// `*overlap_out`. When `swap_to` is non-null it is ReloadModel'ed in around
-/// the halfway mark — an identical-content snapshot, so the bitwise check
-/// also gates "results unchanged across a swap, zero requests dropped".
+/// waits for every future, and returns users/sec. Results are checked
+/// bitwise against `reference`. When `swap_to` is non-null it is
+/// ReloadModel'ed in around the halfway mark — an identical-content
+/// snapshot, so the bitwise check also gates "results unchanged across a
+/// swap, zero requests dropped".
 template <typename ServerT>
-double RunSaturation(ServerT& server, bool int8_mode, int64_t num_requests,
-                     int64_t num_users, int64_t producers, int64_t k,
+double RunSaturation(ServerT& server, int64_t num_requests, int64_t num_users,
+                     int64_t producers, int64_t k,
                      const std::vector<std::vector<ScoredItem>>& reference,
-                     std::shared_ptr<const ModelSnapshot> swap_to,
-                     double* overlap_out) {
+                     std::shared_ptr<const ModelSnapshot> swap_to) {
   std::vector<std::future<darec::core::StatusOr<TopKResult>>> futures(
       static_cast<size_t>(num_requests));
 
@@ -232,38 +227,18 @@ double RunSaturation(ServerT& server, bool int8_mode, int64_t num_requests,
   const double seconds = sw.ElapsedSeconds();
 
   // Parity, outside the timed region.
-  double overlap_sum = 0.0;
   for (int64_t i = 0; i < num_requests; ++i) {
     const std::vector<ScoredItem>& got = results[static_cast<size_t>(i)].items;
     const std::vector<ScoredItem>& want =
         reference[static_cast<size_t>(i % num_users)];
-    if (!int8_mode) {
-      DARE_CHECK_EQ(got.size(), want.size())
-          << "fp32 parity: list size diverged for request " << i;
-      for (size_t r = 0; r < got.size(); ++r) {
-        DARE_CHECK(got[r].item == want[r].item && got[r].score == want[r].score)
-            << "fp32 parity: rank " << r << " diverged for request " << i
-            << " (snapshot v" << results[static_cast<size_t>(i)].snapshot_version
-            << ")";
-      }
-    } else {
-      std::vector<int64_t> got_items, want_items;
-      for (const ScoredItem& s : got) got_items.push_back(s.item);
-      for (const ScoredItem& s : want) want_items.push_back(s.item);
-      std::sort(got_items.begin(), got_items.end());
-      std::sort(want_items.begin(), want_items.end());
-      std::vector<int64_t> common;
-      std::set_intersection(got_items.begin(), got_items.end(),
-                            want_items.begin(), want_items.end(),
-                            std::back_inserter(common));
-      overlap_sum += want_items.empty()
-                         ? 1.0
-                         : static_cast<double>(common.size()) /
-                               static_cast<double>(want_items.size());
+    DARE_CHECK_EQ(got.size(), want.size())
+        << "fp32 parity: list size diverged for request " << i;
+    for (size_t r = 0; r < got.size(); ++r) {
+      DARE_CHECK(got[r].item == want[r].item && got[r].score == want[r].score)
+          << "fp32 parity: rank " << r << " diverged for request " << i
+          << " (snapshot v" << results[static_cast<size_t>(i)].snapshot_version
+          << ")";
     }
-  }
-  if (overlap_out != nullptr && int8_mode) {
-    *overlap_out = overlap_sum / static_cast<double>(num_requests);
   }
   if (swap_to != nullptr) {
     bool saw_new = false;
@@ -532,9 +507,6 @@ void PrintReport(const ModeReport& m, double qps) {
       m.name.c_str(), m.saturation_users_per_sec,
       static_cast<long long>(m.max_batch_observed), qps, m.poisson.p50_us,
       m.poisson.p95_us, m.poisson.p99_us);
-  if (m.mean_topk_overlap >= 0.0) {
-    std::printf(" | overlap %.4f", m.mean_topk_overlap);
-  }
   std::printf("\n");
 }
 
@@ -542,7 +514,7 @@ void WriteJson(const std::string& path, const std::string& dataset,
                int64_t num_users, int64_t num_items, int64_t dim, int64_t k,
                const std::vector<ModeReport>& modes,
                const std::vector<OverloadReport>& overload, double speedup,
-               double int8_overlap, bool smoke) {
+               bool smoke) {
   FILE* f = std::fopen(path.c_str(), "w");
   DARE_CHECK(f != nullptr) << "cannot open " << path;
   std::fprintf(f, "{\n");
@@ -570,10 +542,6 @@ void WriteJson(const std::string& path, const std::string& dataset,
                  m.saturation_users_per_sec);
     std::fprintf(f, "      \"max_batch_observed\": %lld,\n",
                  static_cast<long long>(m.max_batch_observed));
-    if (m.mean_topk_overlap >= 0.0) {
-      std::fprintf(f, "      \"mean_topk_overlap_vs_fp32\": %.4f,\n",
-                   m.mean_topk_overlap);
-    }
     std::fprintf(f,
                  "      \"poisson\": {\"offered_qps\": %.1f, \"requests\": "
                  "%lld, \"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": "
@@ -621,11 +589,9 @@ void WriteJson(const std::string& path, const std::string& dataset,
                "    \"microbatch_saturation_speedup_vs_single_request\": "
                "%.2f,\n"
                "    \"required_min_speedup\": 5.0,\n"
-               "    \"int8_mean_topk_overlap\": %.4f,\n"
-               "    \"required_min_overlap\": 0.9,\n"
                "    \"fp32_bitwise_parity_incl_queue_off_and_snapshot_swap\": "
                "\"pass\"\n",
-               speedup, int8_overlap);
+               speedup);
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
@@ -677,14 +643,13 @@ int main(int argc, char** argv) {
 
   if (overload_smoke) {
     auto snapshot = ModelSnapshot::Create(nodes, &*dataset,
-                                          /*build_int8=*/true, 1);
+                                          /*build_int8=*/false, 1);
     DARE_CHECK(snapshot.ok());
     return RunOverloadSmoke(*snapshot, num_users, k);
   }
 
-  // Serial fp32 reference: what every fp32 result (seed loop, queue off,
-  // queue on, across the swap) must match bitwise, and what int8 overlap is
-  // measured against.
+  // Serial fp32 reference: what every result (seed loop, queue off, queue
+  // on, across the swap) must match bitwise.
   auto recommender = serve::Recommender::Create(nodes, &*dataset);
   DARE_CHECK(recommender.ok()) << recommender.status().ToString();
   std::vector<std::vector<ScoredItem>> reference(
@@ -699,12 +664,9 @@ int main(int argc, char** argv) {
       ModelSnapshot::Create(nodes, &*dataset, /*build_int8=*/false, 1);
   auto fp32_snapshot_v2 =
       ModelSnapshot::Create(nodes, &*dataset, /*build_int8=*/false, 2);
-  auto int8_snapshot =
-      ModelSnapshot::Create(nodes, &*dataset, /*build_int8=*/true, 1);
-  DARE_CHECK(fp32_snapshot.ok() && fp32_snapshot_v2.ok() && int8_snapshot.ok());
+  DARE_CHECK(fp32_snapshot.ok() && fp32_snapshot_v2.ok());
 
   std::vector<ModeReport> reports;
-  double int8_overlap = -1.0;
 
   {  // --- single_request: the seed per-request baseline -------------------
     ModeReport report;
@@ -714,8 +676,8 @@ int main(int argc, char** argv) {
     {
       SeedServer server(nodes, *dataset);
       report.saturation_users_per_sec =
-          RunSaturation(server, false, seed_requests, num_users, producers, k,
-                        reference, nullptr, nullptr);
+          RunSaturation(server, seed_requests, num_users, producers, k,
+                        reference, nullptr);
       report.max_batch_observed = 1;
     }
     {
@@ -739,8 +701,8 @@ int main(int argc, char** argv) {
     {
       Server server(*fp32_snapshot, options);
       report.saturation_users_per_sec =
-          RunSaturation(server, false, requests, num_users, producers, k,
-                        reference, nullptr, nullptr);
+          RunSaturation(server, requests, num_users, producers, k, reference,
+                        nullptr);
       server.Stop();
       report.max_batch_observed = server.stats().max_batch_observed;
     }
@@ -764,41 +726,13 @@ int main(int argc, char** argv) {
     {
       Server server(*fp32_snapshot, options);
       report.saturation_users_per_sec =
-          RunSaturation(server, false, requests, num_users, producers, k,
-                        reference, *fp32_snapshot_v2, nullptr);
+          RunSaturation(server, requests, num_users, producers, k, reference,
+                        *fp32_snapshot_v2);
       server.Stop();
       report.max_batch_observed = server.stats().max_batch_observed;
     }
     {
       Server server(*fp32_snapshot, options);
-      report.poisson = RunPoisson(server, num_users, poisson_requests, qps, k);
-      server.Stop();
-    }
-    PrintReport(report, qps);
-    reports.push_back(std::move(report));
-  }
-
-  {  // --- microbatch_int8 ---------------------------------------------------
-    ServerOptions options;
-    options.precision = Precision::kInt8;
-    options.max_queue = 0;  // closed-loop burst: no admission control
-    options.overload.enabled = false;
-    ModeReport report;
-    report.name = "microbatch_int8";
-    report.detail = "max_batch=64, deadline=1ms, int8 quantized scoring";
-    {
-      Server server(*int8_snapshot, options);
-      double overlap = -1.0;
-      report.saturation_users_per_sec =
-          RunSaturation(server, true, requests, num_users, producers, k,
-                        reference, nullptr, &overlap);
-      server.Stop();
-      report.max_batch_observed = server.stats().max_batch_observed;
-      report.mean_topk_overlap = overlap;
-      int8_overlap = overlap;
-    }
-    {
-      Server server(*int8_snapshot, options);
       report.poisson = RunPoisson(server, num_users, poisson_requests, qps, k);
       server.Stop();
     }
@@ -815,14 +749,14 @@ int main(int argc, char** argv) {
       ServerOptions options;  // max_batch=64, deadline=1ms
       options.max_queue = 512;
       options.overload.k_degraded = std::max<int64_t>(1, k / 2);
-      Server server(*int8_snapshot, options);  // int8 blocks for degradation
+      Server server(*fp32_snapshot, options);
       OverloadReport report =
           RunOverload(server, "ladder_on", num_users, overload_requests,
                       overload_qps, k, /*timeout_us=*/20'000);
       server.Stop();
       report.detail =
-          "max_queue=512, derived watermarks, k_degraded=k/2, int8 when "
-          "degraded, 20ms request deadlines";
+          "max_queue=512, derived watermarks, k_degraded=k/2, 20ms request "
+          "deadlines";
       PrintOverloadReport(report);
       overload_reports.push_back(std::move(report));
     }
@@ -830,7 +764,7 @@ int main(int argc, char** argv) {
       ServerOptions options;  // unbounded queue, no ladder, no deadlines
       options.max_queue = 0;
       options.overload.enabled = false;
-      Server server(*int8_snapshot, options);
+      Server server(*fp32_snapshot, options);
       OverloadReport report =
           RunOverload(server, "ladder_off", num_users, overload_requests,
                       overload_qps, k, /*timeout_us=*/0);
@@ -847,8 +781,6 @@ int main(int argc, char** argv) {
                          reports[0].saturation_users_per_sec;
   std::printf("microbatch vs single-request baseline at saturation: %.2fx\n",
               speedup);
-  DARE_CHECK(int8_overlap >= 0.9)
-      << "int8 top-" << k << " overlap vs fp32 is " << int8_overlap;
   if (!smoke) {
     DARE_CHECK(speedup >= 5.0)
         << "microbatching gate: expected >= 5x the single-request baseline "
@@ -857,6 +789,6 @@ int main(int argc, char** argv) {
   }
 
   WriteJson(out_path, dataset_name, num_users, dataset->num_items(), dim, k,
-            reports, overload_reports, speedup, int8_overlap, smoke);
+            reports, overload_reports, speedup, smoke);
   return 0;
 }

@@ -11,7 +11,7 @@
 # (multi-producer microbatch queue with mid-flight snapshot swaps, bounded
 # admission + degradation ladder + request deadlines). A forced
 # DAREC_SIMD=scalar ctest lane and train_bench/serve_bench smokes guard the
-# runtime-dispatched SIMD kernels (fp32 and int8); a DAREC_FUSION=off lane
+# runtime-dispatched SIMD kernels; a DAREC_FUSION=off lane
 # and a parity-gated fusion bench smoke guard expression fusion (both
 # evaluation paths must stay bitwise identical). A data_bench smoke
 # generates a multi-shard web_scale catalog and gates the streamed
@@ -57,7 +57,7 @@ cmake --build build -j "$(nproc)" --target data_bench >/dev/null
 ./build/bench/data_bench users=20000 items=5000 epochs=1 \
   out=build/BENCH_data_smoke.json
 
-echo "=== smoke: serve bench (microbatched queue, fp32/int8 parity gates) ==="
+echo "=== smoke: serve bench (microbatched queue, fp32 bitwise parity gates) ==="
 cmake --build build -j "$(nproc)" --target serve_bench >/dev/null
 ./build/bench/serve_bench smoke=1 out=build/BENCH_serve_smoke.json
 
@@ -69,10 +69,8 @@ DAREC_FAILPOINTS=serve.slow_flush=300000:1 \
   ./build/bench/serve_bench overload_smoke=1
 
 echo "=== ctest under DAREC_SIMD=scalar (forced lowest kernel tier) ==="
-# quant_test exercises the int8 score/dequant kernels' naive-reference
-# parity on the scalar tier as well as the dispatched one.
 DAREC_SIMD=scalar ctest --test-dir build --output-on-failure \
-  -R 'matrix_test|ops_property_test|cpu_features_test|golden_trace_test|parallel_executor_test|quant_test'
+  -R 'matrix_test|ops_property_test|cpu_features_test|golden_trace_test|parallel_executor_test'
 
 echo "=== ctest under DAREC_FUSION=off (every recorded chain replayed) ==="
 # The replay path must carry the same golden traces, property contracts, and
@@ -126,7 +124,7 @@ if [[ "$run_tsan" == 1 ]]; then
     --target thread_pool_test parallel_kernels_test topk_engine_test \
              kmeans_test failpoint_test trainer_ckpt_test \
              train_policies_test train_observer_test workspace_test \
-             parallel_executor_test cpu_features_test quant_test \
+             parallel_executor_test cpu_features_test \
              server_test overload_test sharded_checkpoint_test >/dev/null
   # parallel_executor_test drives 8-worker super-steps (GradSink diversion,
   # fixed-order reduction, per-slot aligner state) under TSan. server_test's
@@ -137,7 +135,7 @@ if [[ "$run_tsan" == 1 ]]; then
   # parallel per-section checkpoint I/O (writes and reads on the global
   # pool) under TSan, including the 1-vs-8-thread byte-parity sweep.
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'thread_pool_test|parallel_kernels_test|topk_engine_test|kmeans_test|failpoint_test|trainer_ckpt_test|train_policies_test|train_observer_test|workspace_test|parallel_executor_test|cpu_features_test|quant_test|server_test|overload_test|sharded_checkpoint_test'
+    -R 'thread_pool_test|parallel_kernels_test|topk_engine_test|kmeans_test|failpoint_test|trainer_ckpt_test|train_policies_test|train_observer_test|workspace_test|parallel_executor_test|cpu_features_test|server_test|overload_test|sharded_checkpoint_test'
 fi
 
 echo "=== all checks passed ==="

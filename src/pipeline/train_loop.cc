@@ -448,16 +448,7 @@ TrainResult Trainer::Run() {
   if (checkpoint_policy.ShouldSaveInitial(
           checkpoints_ != nullptr && !checkpoints_->List().empty())) {
     // Initial checkpoint so divergence recovery always has a rollback target.
-    const core::Status saved = SaveCheckpoint();
-    if (!saved.ok()) {
-      DARE_LOG(Warning) << "initial checkpoint failed: " << saved.ToString();
-    }
-    CheckpointEvent event;
-    event.epoch = epochs_completed_;
-    event.path = checkpoints_->PathForStep(epochs_completed_);
-    event.ok = saved.ok();
-    if (!saved.ok()) event.error = saved.ToString();
-    observers_.OnCheckpointCommitted(event);
+    CommitCheckpoint();
   }
 
   bool stopped_early = false;

@@ -251,19 +251,11 @@ void Server::FlushBatch(std::vector<Pending> batch, FlushReason reason,
   }
 
   // Ladder settings for this flush: Degraded (and Shedding drains) clamp
-  // every request's k and, when the pinned snapshot carries int8 blocks,
-  // score on the int8 path — strictly less work per flush, which is what
-  // lets a backlogged server drain faster than it degrades.
+  // every request's k. Scoring work is unchanged — the GEMM scores every
+  // item whatever k is — so the clamp only shrinks selection heaps and
+  // result copies; the ladder drains a backlog mainly by shedding.
   const bool degraded = state != LoadState::kHealthy;
-  Precision precision = options_.precision;
-  if (degraded && options_.overload.int8_when_degraded &&
-      snapshot->engine().has_int8()) {
-    precision = Precision::kInt8;
-  }
   const int64_t k_cap = degraded ? options_.overload.k_degraded : 0;
-
-  const bool int8_ok =
-      precision != Precision::kInt8 || snapshot->engine().has_int8();
 
   // Deadline re-check after the (possibly stalled) start of the flush: a
   // request that expired since assembly still never reaches the GEMM.
@@ -291,11 +283,6 @@ void Server::FlushBatch(std::vector<Pending> batch, FlushReason reason,
       outcomes[i] = core::Status::Internal(
           "injected flush failure (serve.flush_fail)");
       ++failed;
-    } else if (!int8_ok) {
-      outcomes[i] = core::Status::FailedPrecondition(
-          "snapshot v" + std::to_string(snapshot->version()) +
-          " was built without int8 blocks");
-      ++failed;
     } else if (p.user < 0 || p.user >= snapshot->num_users()) {
       outcomes[i] =
           core::Status::OutOfRange("bad user id: " + std::to_string(p.user));
@@ -317,8 +304,7 @@ void Server::FlushBatch(std::vector<Pending> batch, FlushReason reason,
     // request takes the prefix it asked for (the deterministic total order
     // makes the top-k list a prefix of the top-k_max list).
     std::vector<std::vector<topk::ScoredItem>> lists =
-        snapshot->engine().TopK(users, k_max, seen, topk::MaskMode::kDrop,
-                                precision);
+        snapshot->engine().TopK(users, k_max, seen, topk::MaskMode::kDrop);
     for (size_t i = 0; i < slots.size(); ++i) {
       std::vector<topk::ScoredItem>& list = lists[i];
       if (static_cast<int64_t>(list.size()) > ks[i]) {

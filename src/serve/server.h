@@ -44,12 +44,8 @@ struct ServerOptions {
   /// bounded, max_queue < max_batch is rejected (CHECK): the size trigger
   /// could never fire.
   int64_t max_queue = 4096;
-  /// Numeric path batches are scored on. kInt8 requires snapshots built
-  /// with build_int8; requests flushed against a snapshot without int8
-  /// blocks complete with FailedPrecondition.
-  Precision precision = Precision::kFp32;
   /// The graceful-degradation ladder (server_overload.h): queue-depth
-  /// watermarks with hysteresis walk Healthy → Degraded (clamp k, int8) →
+  /// watermarks with hysteresis walk Healthy → Degraded (clamp k) →
   /// Shedding (admit nothing, drain). Watermarks left at -1 derive from
   /// max_queue.
   OverloadOptions overload;
@@ -76,7 +72,7 @@ struct ServerStats {
   /// (timeout_us < 0 — never submitted), at batch assembly, or inside a
   /// flush. The latter two are also counted in `failed`.
   int64_t shed_deadline = 0;
-  /// Flushes scored under Degraded/Shedding settings (k clamp + int8).
+  /// Flushes scored under Degraded/Shedding settings (k clamp).
   int64_t degraded_flushes = 0;
   /// Live requests failed by the serve.flush_fail fail point (Internal).
   int64_t flush_failures = 0;
@@ -106,8 +102,8 @@ struct ServerStats {
 /// follows the engine's deterministic total order (score desc, id asc), so
 /// the prefix of a top-kmax list IS the top-k list: results are bitwise
 /// identical to a direct Recommender::RecommendTopK call against the same
-/// snapshot, at any batch composition. (Healthy-state fp32 only: Degraded
-/// flushes deliberately trade k and precision for drain speed.)
+/// snapshot, at any batch composition. Degraded flushes only clamp k, so
+/// their lists are bitwise the prefixes a Healthy flush would return.
 ///
 /// Overload protection is three independent mechanisms sharing one signal,
 /// the pending-queue depth:
@@ -145,10 +141,9 @@ class Server {
   /// — the unified k contract of serve::Recommender) or with an error:
   /// InvalidArgument for non-positive k (failed immediately, never
   /// enqueued), OutOfRange for a user id the flushed-against snapshot does
-  /// not know, FailedPrecondition after Stop() or for an int8 server whose
-  /// snapshot lacks int8 blocks, ResourceExhausted when admission sheds
-  /// (queue at max_queue, or the ladder is Shedding), DeadlineExceeded when
-  /// the request expires before being scored.
+  /// not know, FailedPrecondition after Stop(), ResourceExhausted when
+  /// admission sheds (queue at max_queue, or the ladder is Shedding),
+  /// DeadlineExceeded when the request expires before being scored.
   ///
   /// `timeout_us` > 0 arms a deadline `timeout_us` after submission;
   /// 0 means no deadline; negative means "budget already spent" — the

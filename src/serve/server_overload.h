@@ -8,12 +8,10 @@ namespace darec::serve {
 
 /// The degradation ladder a Server walks under load (DESIGN.md §13):
 ///
-///   kHealthy  — configured precision, full k.
-///   kDegraded — k clamped to OverloadOptions::k_degraded, and (when the
-///               pinned snapshot has int8 blocks and int8_when_degraded is
-///               set) scoring switches to the int8 path: ~4x less memory
-///               traffic per flush buys drain speed at bounded ranking
-///               error (quant_test's analytic bound, overlap ≈0.99).
+///   kHealthy  — full k.
+///   kDegraded — k clamped to OverloadOptions::k_degraded (a no-op when
+///               k_degraded <= 0). Scoring stays fp32, so each clamped list
+///               is bitwise the prefix of the Healthy list.
 ///   kShedding — no new admissions (SubmitTopK fails fast with
 ///               ResourceExhausted); the flusher drains what is queued at
 ///               Degraded settings.
@@ -51,12 +49,9 @@ struct OverloadOptions {
   /// degrade_exit) at depth <= this.
   int64_t shed_exit = -1;
   /// k cap applied per-request in Degraded/Shedding flushes via
-  /// topk::ClampK. <= 0 disables the clamp (precision still degrades).
+  /// topk::ClampK. <= 0 disables the clamp, so Degraded flushes score
+  /// exactly like Healthy ones.
   int64_t k_degraded = 0;
-  /// In Degraded/Shedding, score with Precision::kInt8 when the pinned
-  /// snapshot was built with int8 blocks (otherwise stay at the configured
-  /// precision — degradation never turns into an error).
-  bool int8_when_degraded = true;
 };
 
 /// The pure transition function: the next ladder state given the current

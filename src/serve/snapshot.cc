@@ -8,23 +8,33 @@ namespace darec::serve {
 ModelSnapshot::ModelSnapshot(
     tensor::Matrix embeddings, int64_t num_users, int64_t num_items,
     const data::Dataset* dataset,
-    std::unique_ptr<const data::ResidentInteractions> seen, bool build_int8,
-    uint64_t version)
+    std::unique_ptr<const data::ResidentInteractions> seen, uint64_t version)
     : embeddings_(std::make_unique<tensor::Matrix>(std::move(embeddings))),
       num_users_(num_users),
       num_items_(num_items),
       dataset_(dataset),
       seen_(std::move(seen)),
       version_(version) {
-  topk::EngineOptions options;
-  options.build_int8 = build_int8;
   engine_ = std::make_unique<topk::Engine>(*embeddings_, num_users_,
-                                           num_items_, options);
+                                           num_items_);
 }
+
+namespace {
+
+core::Status CheckNoInt8(bool build_int8) {
+  if (build_int8) {
+    return core::Status::InvalidArgument(
+        "int8 snapshots were removed; build_int8 must be false");
+  }
+  return core::Status::Ok();
+}
+
+}  // namespace
 
 core::StatusOr<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Create(
     tensor::Matrix node_embeddings, const data::Dataset* dataset,
     bool build_int8, uint64_t version) {
+  DARE_RETURN_IF_ERROR(CheckNoInt8(build_int8));
   if (dataset == nullptr) {
     return core::Status::InvalidArgument("dataset must not be null");
   }
@@ -38,13 +48,14 @@ core::StatusOr<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Create(
   }
   return std::shared_ptr<const ModelSnapshot>(new ModelSnapshot(
       std::move(node_embeddings), dataset->num_users(), dataset->num_items(),
-      dataset, /*seen=*/nullptr, build_int8, version));
+      dataset, /*seen=*/nullptr, version));
 }
 
 core::StatusOr<std::shared_ptr<const ModelSnapshot>>
 ModelSnapshot::CreateFromStore(tensor::Matrix node_embeddings,
                                const data::InteractionStore& store,
                                bool build_int8, uint64_t version) {
+  DARE_RETURN_IF_ERROR(CheckNoInt8(build_int8));
   if (node_embeddings.rows() != store.num_users() + store.num_items()) {
     return core::Status::InvalidArgument(
         "embedding rows (" + std::to_string(node_embeddings.rows()) +
@@ -60,7 +71,7 @@ ModelSnapshot::CreateFromStore(tensor::Matrix node_embeddings,
       std::move(node_embeddings), store.num_users(), store.num_items(),
       /*dataset=*/nullptr,
       std::make_unique<const data::ResidentInteractions>(std::move(seen)),
-      build_int8, version));
+      version));
 }
 
 }  // namespace darec::serve

@@ -12,25 +12,22 @@
 
 namespace darec::serve {
 
-/// Scoring precision a Server flushes batches at (see topk::Precision).
-using Precision = topk::Precision;
-
 /// One immutable, self-contained servable model: the node embeddings, the
-/// scoring engine precomputed over them (transposed item block, norms,
-/// optional int8 blocks), and the per-user seen-item index masked from
-/// results. Snapshots are what serve::Server swaps atomically on
-/// ReloadModel — every field is set at Create and never mutated, so any
-/// number of threads may score against one snapshot while another is being
-/// built, and an in-flight batch keeps its snapshot alive through the
-/// shared_ptr it loaded (DESIGN.md §12).
+/// scoring engine precomputed over them (transposed item block, norms),
+/// and the per-user seen-item index masked from results. Snapshots are
+/// what serve::Server swaps atomically on ReloadModel — every field is set
+/// at Create and never mutated, so any number of threads may score against
+/// one snapshot while another is being built, and an in-flight batch keeps
+/// its snapshot alive through the shared_ptr it loaded (DESIGN.md §12).
 class ModelSnapshot {
  public:
   /// `node_embeddings` holds user rows [0, num_users) then item rows, as
   /// produced by pipeline::TrainResult::final_embeddings. `dataset` must
-  /// outlive the snapshot. `build_int8` additionally quantizes the user and
-  /// item blocks so the snapshot can serve Precision::kInt8. `version` is
-  /// an application-chosen tag echoed into every result answered by this
-  /// snapshot (reload observability). Fails on shape mismatch.
+  /// outlive the snapshot. `version` is an application-chosen tag echoed
+  /// into every result answered by this snapshot (reload observability).
+  /// Fails on shape mismatch. `build_int8` is kept only for source
+  /// compatibility with positional callers: int8 scoring was removed, so it
+  /// must be false (true fails with InvalidArgument).
   static core::StatusOr<std::shared_ptr<const ModelSnapshot>> Create(
       tensor::Matrix node_embeddings, const data::Dataset* dataset,
       bool build_int8 = false, uint64_t version = 0);
@@ -39,7 +36,8 @@ class ModelSnapshot {
   /// store is streamed once at build time and compacted into an owned
   /// resident sorted seen-index (serving needs random per-user access, so
   /// the O(nnz) index is paid here, not per request). The store itself is
-  /// not retained and may be discarded after Create returns.
+  /// not retained and may be discarded after Create returns. `build_int8`
+  /// and `version` as for Create.
   static core::StatusOr<std::shared_ptr<const ModelSnapshot>> CreateFromStore(
       tensor::Matrix node_embeddings, const data::InteractionStore& store,
       bool build_int8 = false, uint64_t version = 0);
@@ -60,7 +58,7 @@ class ModelSnapshot {
   ModelSnapshot(tensor::Matrix embeddings, int64_t num_users,
                 int64_t num_items, const data::Dataset* dataset,
                 std::unique_ptr<const data::ResidentInteractions> seen,
-                bool build_int8, uint64_t version);
+                uint64_t version);
 
   // unique_ptr keeps the embedding matrix (and the engine's pointer into
   // it) address-stable; the snapshot itself always lives behind shared_ptr.

@@ -22,11 +22,6 @@ inline constexpr int64_t kMatMulColTile = 32;  // C cols per register tile
 /// so all tiers produce bit-identical results. The wider tiers only
 /// vectorize across *independent* output elements, which never reorders a
 /// per-element chain. Enforced by cpu_features_test and the golden traces.
-///
-/// The int8 kernels accumulate in exact int32 arithmetic, so they are
-/// bitwise identical across tiers *regardless* of summation order — the
-/// vectorizer is free to reassociate their reduction loops. The single
-/// float op in i8_dequant_row keeps the fixed per-element order rule.
 struct KernelTable {
   /// C rows [r0, r1) += A rows [r0, r1) · B, row-major; A is ·×k, B is
   /// k×n, C is ·×n (leading dimensions == logical widths).
@@ -42,16 +37,6 @@ struct KernelTable {
   /// the assembly loop of PairwiseSquaredDistances.
   void (*pairwise_assemble)(float* drow, const float* prow,
                             const float* b_norms, float a_norm, int64_t n);
-  /// scores[j] = Σ_p user[p] * items[j*dim + p] for j in [0, num_items) —
-  /// one quantized query row against a row-major int8 item block, int32
-  /// accumulation (exact; products ≤ 127² so any widening scheme fits).
-  void (*i8_score_row)(const int8_t* user, const int8_t* items, int64_t dim,
-                       int64_t num_items, int32_t* scores);
-  /// dst[j] = (user_scale * item_scales[j]) * float(scores[j]) for j in
-  /// [0, n) — per-row symmetric dequantization of an int32 score row.
-  void (*i8_dequant_row)(float* dst, const int32_t* scores,
-                         const float* item_scales, float user_scale,
-                         int64_t n);
 
   // --- Fused-traversal bodies (expression fusion, DESIGN.md §14) ---
   //

@@ -15,7 +15,6 @@ const KernelTable kAvx2Kernels = {
     &avx2_impl::MatMulRowRange, &avx2_impl::Axpy,
     &avx2_impl::Scale,          &avx2_impl::Hadamard,
     &avx2_impl::PairwiseAssemble,
-    &avx2_impl::I8ScoreRow,     &avx2_impl::I8DequantRow,
     &avx2_impl::FusedSubSumSq,  &avx2_impl::FusedSubGrad,
     &avx2_impl::FusedSquareSum, &avx2_impl::FusedSquareSumGrad,
     &avx2_impl::FusedExpAffineSum, &avx2_impl::FusedExpAffineGrad,

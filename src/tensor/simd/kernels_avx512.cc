@@ -15,7 +15,6 @@ const KernelTable kAvx512Kernels = {
     &avx512_impl::MatMulRowRange, &avx512_impl::Axpy,
     &avx512_impl::Scale,          &avx512_impl::Hadamard,
     &avx512_impl::PairwiseAssemble,
-    &avx512_impl::I8ScoreRow,     &avx512_impl::I8DequantRow,
     &avx512_impl::FusedSubSumSq,  &avx512_impl::FusedSubGrad,
     &avx512_impl::FusedSquareSum, &avx512_impl::FusedSquareSumGrad,
     &avx512_impl::FusedExpAffineSum, &avx512_impl::FusedExpAffineGrad,

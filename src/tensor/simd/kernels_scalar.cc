@@ -14,7 +14,6 @@ const KernelTable kScalarKernels = {
     &scalar_impl::MatMulRowRange, &scalar_impl::Axpy,
     &scalar_impl::Scale,          &scalar_impl::Hadamard,
     &scalar_impl::PairwiseAssemble,
-    &scalar_impl::I8ScoreRow,     &scalar_impl::I8DequantRow,
     &scalar_impl::FusedSubSumSq,  &scalar_impl::FusedSubGrad,
     &scalar_impl::FusedSquareSum, &scalar_impl::FusedSquareSumGrad,
     &scalar_impl::FusedExpAffineSum, &scalar_impl::FusedExpAffineGrad,

@@ -1,7 +1,6 @@
 #include "topk/engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "core/check.h"
@@ -82,58 +81,28 @@ Engine::Engine(const tensor::Matrix& node_embeddings, int64_t num_users,
   }
   items_t_ = tensor::Transpose(items);
   item_norms_ = tensor::RowNorms(items);
-  if (options_.build_int8) {
-    users_q8_ = tensor::QuantizeRowsInt8(*nodes_, 0, num_users_);
-    items_q8_ = tensor::QuantizeRowsInt8(*nodes_, num_users_, num_items_);
-  }
 }
 
 void Engine::ScoreAndSelectBlock(
     const std::vector<int64_t>& users, int64_t b0, int64_t b1, int64_t take,
-    const SeenItemsFn& seen, MaskMode mask_mode, Precision precision,
+    const SeenItemsFn& seen, MaskMode mask_mode,
     std::vector<std::vector<ScoredItem>>* lists) const {
   const int64_t rows = b1 - b0;
   const int64_t dim = nodes_->cols();
   tensor::Workspace& ws = tensor::Workspace::Global();
   tensor::ScratchMatrix scores(ws, rows * num_items_);
-  if (precision == Precision::kFp32) {
-    // One blocked GEMM scores the whole block against every item; the inner
-    // accumulation order (ascending p in float) matches a scalar per-item
-    // dot, so scores are bitwise identical to the per-user loops this
-    // replaced — and independent of the batch the user arrived in.
-    tensor::ScratchMatrix block(ws, rows * dim);
-    block->ResetShape(rows, dim);
-    for (int64_t r = 0; r < rows; ++r) {
-      const int64_t user = users[static_cast<size_t>(b0 + r)];
-      DARE_CHECK(user >= 0 && user < num_users_) << "bad user id: " << user;
-      block->CopyRowFrom(*nodes_, user, r);
-    }
-    tensor::MatMulInto(*block, items_t_, false, false, scores.get());
-  } else {
-    DARE_CHECK(has_int8())
-        << "Precision::kInt8 requires EngineOptions::build_int8";
-    // Gather the quantized query rows; scoring runs the int32-accumulate
-    // GEMM on the dispatched SIMD tiers. The gather buffers persist per
-    // thread so a warm serving loop stays allocation-free.
-    thread_local std::vector<int8_t> qrows;
-    thread_local std::vector<float> qscales;
-    if (static_cast<int64_t>(qrows.size()) < rows * dim) {
-      qrows.resize(static_cast<size_t>(rows * dim));
-    }
-    if (static_cast<int64_t>(qscales.size()) < rows) {
-      qscales.resize(static_cast<size_t>(rows));
-    }
-    for (int64_t r = 0; r < rows; ++r) {
-      const int64_t user = users[static_cast<size_t>(b0 + r)];
-      DARE_CHECK(user >= 0 && user < num_users_) << "bad user id: " << user;
-      std::memcpy(qrows.data() + r * dim, users_q8_.Row(user),
-                  static_cast<size_t>(dim));
-      qscales[static_cast<size_t>(r)] =
-          users_q8_.scales[static_cast<size_t>(user)];
-    }
-    tensor::Int8ScoreBlockInto(qrows.data(), qscales.data(), rows, items_q8_,
-                               scores.get());
+  // One blocked GEMM scores the whole block against every item; the inner
+  // accumulation order (ascending p in float) matches a scalar per-item
+  // dot, so scores are bitwise identical to the per-user loops this
+  // replaced — and independent of the batch the user arrived in.
+  tensor::ScratchMatrix block(ws, rows * dim);
+  block->ResetShape(rows, dim);
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t user = users[static_cast<size_t>(b0 + r)];
+    DARE_CHECK(user >= 0 && user < num_users_) << "bad user id: " << user;
+    block->CopyRowFrom(*nodes_, user, r);
   }
+  tensor::MatMulInto(*block, items_t_, false, false, scores.get());
   core::ParallelFor(0, rows, SelectGrain(num_items_),
                     [&](int64_t lo, int64_t hi) {
                       for (int64_t r = lo; r < hi; ++r) {
@@ -147,7 +116,7 @@ void Engine::ScoreAndSelectBlock(
 
 std::vector<std::vector<ScoredItem>> Engine::TopK(
     const std::vector<int64_t>& users, int64_t k, const SeenItemsFn& seen,
-    MaskMode mask_mode, Precision precision) const {
+    MaskMode mask_mode) const {
   DARE_CHECK_GT(k, 0);
   const int64_t num_queries = static_cast<int64_t>(users.size());
   std::vector<std::vector<ScoredItem>> lists(static_cast<size_t>(num_queries));
@@ -155,15 +124,13 @@ std::vector<std::vector<ScoredItem>> Engine::TopK(
   const int64_t take = ClampK(k, num_items_);
   for (int64_t b0 = 0; b0 < num_queries; b0 += options_.block_users) {
     const int64_t b1 = std::min(num_queries, b0 + options_.block_users);
-    ScoreAndSelectBlock(users, b0, b1, take, seen, mask_mode, precision,
-                        &lists);
+    ScoreAndSelectBlock(users, b0, b1, take, seen, mask_mode, &lists);
   }
   return lists;
 }
 
 void Engine::TopKOne(int64_t user, int64_t k, const SeenItemsFn& seen,
-                     MaskMode mask_mode, std::vector<ScoredItem>* out,
-                     Precision precision) const {
+                     MaskMode mask_mode, std::vector<ScoredItem>* out) const {
   DARE_CHECK_GT(k, 0);
   DARE_CHECK(user >= 0 && user < num_users_) << "bad user id: " << user;
   out->clear();
@@ -172,18 +139,10 @@ void Engine::TopKOne(int64_t user, int64_t k, const SeenItemsFn& seen,
   const int64_t dim = nodes_->cols();
   tensor::Workspace& ws = tensor::Workspace::Global();
   tensor::ScratchMatrix scores(ws, num_items_);
-  if (precision == Precision::kFp32) {
-    tensor::ScratchMatrix row(ws, dim);
-    row->ResetShape(1, dim);
-    row->CopyRowFrom(*nodes_, user, 0);
-    tensor::MatMulInto(*row, items_t_, false, false, scores.get());
-  } else {
-    DARE_CHECK(has_int8())
-        << "Precision::kInt8 requires EngineOptions::build_int8";
-    tensor::Int8ScoreBlockInto(
-        users_q8_.Row(user), &users_q8_.scales[static_cast<size_t>(user)], 1,
-        items_q8_, scores.get());
-  }
+  tensor::ScratchMatrix row(ws, dim);
+  row->ResetShape(1, dim);
+  row->CopyRowFrom(*nodes_, user, 0);
+  tensor::MatMulInto(*row, items_t_, false, false, scores.get());
   SelectTopK(scores->Row(0), num_items_, take,
              seen ? seen(user) : ItemSpan(), mask_mode, *out);
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "tensor/matrix.h"
-#include "tensor/quant.h"
 
 namespace darec::topk {
 
@@ -34,27 +33,11 @@ enum class MaskMode {
   kDrop,
 };
 
-/// Numeric path a query is scored on.
-enum class Precision {
-  /// The fp32 blocked GEMM — the reference path; bitwise identical at any
-  /// thread count, block size, and SIMD tier.
-  kFp32,
-  /// Per-row-scaled int8 embeddings with an int32-accumulate GEMM
-  /// (tensor::QuantizedBlock): ~4x less memory traffic per score pass.
-  /// Scores carry the bounded quantization error documented in
-  /// tensor/quant.h; rankings are near-identical to fp32 (parity-gated by
-  /// quant_test / serve_bench). Requires EngineOptions::build_int8.
-  kInt8,
-};
-
 struct EngineOptions {
   /// Users scored per GEMM block; bounds the score-buffer working set to
   /// `block_users * num_items` floats. Values < 1 are clamped to 1. The
   /// block size never affects results: scoring and selection are per-user.
   int64_t block_users = 128;
-  /// Quantize the user and item embedding blocks (per-row symmetric int8)
-  /// at construction so TopK can serve Precision::kInt8 queries.
-  bool build_int8 = false;
 };
 
 /// A non-owning view of one user's sorted masked-item list. Converts
@@ -115,30 +98,24 @@ class Engine {
   /// `node_embeddings` holds user rows [0, num_users) then item rows, as
   /// produced by pipeline::TrainResult::final_embeddings. It is held by
   /// pointer and must outlive the engine. The d x I transposed item block
-  /// and the item L2 norms are precomputed here, once — plus, when
-  /// options.build_int8 is set, the quantized user/item blocks.
+  /// and the item L2 norms are precomputed here, once.
   Engine(const tensor::Matrix& node_embeddings, int64_t num_users,
          int64_t num_items, const EngineOptions& options = EngineOptions());
 
   /// Ranked top-min(k, num_items) list for every queried user (ids in
   /// [0, num_users)), highest score first, ties broken by ascending item id.
   /// `seen` may be empty (no masking). Under kDrop each list is further
-  /// clamped to the user's eligible-item count. Precision::kInt8 requires
-  /// build_int8 (programmer error otherwise).
+  /// clamped to the user's eligible-item count.
   std::vector<std::vector<ScoredItem>> TopK(
       const std::vector<int64_t>& users, int64_t k, const SeenItemsFn& seen,
-      MaskMode mask_mode, Precision precision = Precision::kFp32) const;
+      MaskMode mask_mode) const;
 
   /// Single-user TopK writing into `out` (cleared, then filled best-first).
   /// Identical to TopK({user}, ...).front() but with no per-request list-of
   /// -lists or query-vector churn — the serving fast path. `out`'s capacity
   /// is reused across calls.
   void TopKOne(int64_t user, int64_t k, const SeenItemsFn& seen,
-               MaskMode mask_mode, std::vector<ScoredItem>* out,
-               Precision precision = Precision::kFp32) const;
-
-  /// True when the int8 blocks were built (Precision::kInt8 is servable).
-  bool has_int8() const { return !items_q8_.empty(); }
+               MaskMode mask_mode, std::vector<ScoredItem>* out) const;
 
   /// Precomputed d x num_items transposed item block: scores any row block
   /// of queries against all items with one no-transpose GEMM.
@@ -155,17 +132,15 @@ class Engine {
   /// the parallel per-row select into lists[b0, b1).
   void ScoreAndSelectBlock(const std::vector<int64_t>& users, int64_t b0,
                            int64_t b1, int64_t take, const SeenItemsFn& seen,
-                           MaskMode mask_mode, Precision precision,
+                           MaskMode mask_mode,
                            std::vector<std::vector<ScoredItem>>* lists) const;
 
   const tensor::Matrix* nodes_;
   int64_t num_users_;
   int64_t num_items_;
   EngineOptions options_;
-  tensor::Matrix items_t_;             // d x I
-  tensor::Matrix item_norms_;          // I x 1
-  tensor::QuantizedBlock users_q8_;    // U x d (build_int8 only)
-  tensor::QuantizedBlock items_q8_;    // I x d (build_int8 only)
+  tensor::Matrix items_t_;     // d x I
+  tensor::Matrix item_norms_;  // I x 1
 };
 
 }  // namespace darec::topk

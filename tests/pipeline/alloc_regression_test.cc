@@ -8,7 +8,7 @@
 
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 #include "tensor/alloc_stats.h"
 #include "tensor/expr.h"
 

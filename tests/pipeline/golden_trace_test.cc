@@ -20,7 +20,7 @@
 #include "data/shards.h"
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 
 namespace darec::pipeline {
 namespace {

@@ -11,7 +11,7 @@
 #include "core/thread_pool.h"
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 
 namespace darec::pipeline {
 namespace {
@@ -221,6 +221,10 @@ TEST_F(ParallelExecutorTest, ResumeAcrossWorkerCountsMatchesStraightRun) {
 TEST_F(ParallelExecutorTest, StatefulBackboneRejectsConcurrentWorkers) {
   ExperimentSpec spec = TinySpec("ncl", "baseline");
   spec.train_options.workers = 2;
+  // Earlier tests leave pool threads running; "threadsafe" re-executes the
+  // binary for the death test instead of forking a multi-threaded process
+  // (which TSan refuses).
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
         auto experiment = Experiment::Create(spec);

@@ -8,7 +8,6 @@
 #include "ckpt/serialize.h"
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
 #include "tensor/matrix.h"
 
 namespace darec::pipeline {

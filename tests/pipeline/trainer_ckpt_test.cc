@@ -9,7 +9,7 @@
 #include "core/thread_pool.h"
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 
 namespace darec::pipeline {
 namespace {

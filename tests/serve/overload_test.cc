@@ -1,8 +1,8 @@
 // Overload protection for the serving tier (DESIGN.md §13): the pure
 // ladder transition function, bounded admission (ResourceExhausted at
 // max_queue), per-request deadlines enforced at admission / batch assembly /
-// in-flush, deterministic degraded flushes (k clamp + int8 switch, bitwise
-// against the engine), recovery hysteresis, and the client-side
+// in-flush, deterministic degraded flushes (k clamp, bitwise against the
+// engine), recovery hysteresis, and the client-side
 // SubmitWithRetry backoff loop. Every scenario is driven by fail-point
 // injected slow flushes — wall-clock sleeps appear only as generous margins
 // (100x+) around the injected stall, never as assertions.
@@ -49,24 +49,21 @@ struct Fixture {
     }
   }
 
-  std::shared_ptr<const ModelSnapshot> Snapshot(bool build_int8 = false,
-                                                uint64_t version = 0) const {
-    auto snapshot =
-        ModelSnapshot::Create(embeddings, dataset.get(), build_int8, version);
+  std::shared_ptr<const ModelSnapshot> Snapshot() const {
+    auto snapshot = ModelSnapshot::Create(embeddings, dataset.get());
     DARE_CHECK(snapshot.ok()) << snapshot.status().ToString();
     return *snapshot;
   }
 
-  /// Engine reference at the given precision — what a degraded (clamped,
-  /// possibly int8) result must match bitwise: both paths are deterministic.
-  std::vector<topk::ScoredItem> EngineReference(
-      const ModelSnapshot& snapshot, int64_t user, int64_t k,
-      Precision precision) const {
+  /// Engine reference at k — what a served result (degraded ones at the
+  /// clamped k) must match bitwise: both paths are deterministic.
+  std::vector<topk::ScoredItem> EngineReference(const ModelSnapshot& snapshot,
+                                                int64_t user, int64_t k) const {
     const topk::SeenItemsFn seen = [this](int64_t u) {
       return &dataset->TrainItemsOfUser(u);
     };
     return snapshot.engine()
-        .TopK({user}, k, seen, topk::MaskMode::kDrop, precision)
+        .TopK({user}, k, seen, topk::MaskMode::kDrop)
         .front();
   }
 
@@ -323,13 +320,13 @@ TEST(OverloadTest, FlushFailFailPointFailsLiveRequestsWithInternal) {
 // The degradation ladder inside the server.
 // ---------------------------------------------------------------------------
 
-/// Degraded flushes clamp k to k_degraded and switch to int8 when the
-/// snapshot has int8 blocks — results bitwise equal to the engine's own
-/// int8 path at the clamped k (both fully deterministic).
-TEST(OverloadTest, DegradedFlushClampsKAndSwitchesToInt8) {
+/// Degraded flushes clamp k to k_degraded and nothing else: results are
+/// bitwise the fp32 engine's list at the clamped k (a prefix of the Healthy
+/// list), and the ladder recovers to full-k Healthy once drained.
+TEST(OverloadTest, DegradedFlushClampsKBitwiseAndRecovers) {
   Fixture f;
   FailPointGuard guard;
-  auto snapshot = f.Snapshot(/*build_int8=*/true);
+  auto snapshot = f.Snapshot();
   ServerOptions options;
   options.max_batch = 4;
   options.flush_deadline_us = 0;
@@ -339,7 +336,6 @@ TEST(OverloadTest, DegradedFlushClampsKAndSwitchesToInt8) {
   options.overload.shed_enter = 50;
   options.overload.shed_exit = 10;
   options.overload.k_degraded = 3;
-  options.overload.int8_when_degraded = true;
   Server server(snapshot, options);
 
   // Stall the first flush 400ms; everything submitted meanwhile piles up,
@@ -358,61 +354,22 @@ TEST(OverloadTest, DegradedFlushClampsKAndSwitchesToInt8) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (i < 3) continue;  // f1..f3 may have ridden the first (stalled) batch
     const int64_t user = static_cast<int64_t>(i) + 1;
-    ExpectBitwiseEqual(
-        result->items,
-        f.EngineReference(*snapshot, user, 3, Precision::kInt8),
-        "degraded int8 user " + std::to_string(user));
+    ExpectBitwiseEqual(result->items, f.EngineReference(*snapshot, user, 3),
+                       "degraded user " + std::to_string(user));
   }
   const ServerStats stats = server.stats();
   EXPECT_GE(stats.to_degraded, 1);
   EXPECT_GE(stats.degraded_flushes, 1);
 
   // Recovery: with the queue drained, the next admission observes depth 0
-  // and returns to Healthy — full k, fp32, bitwise equal to the serial path.
+  // and returns to Healthy — full k, bitwise equal to the serial path.
   auto probe = server.SubmitTopK(5, 10).get();
   ASSERT_TRUE(probe.ok());
-  ExpectBitwiseEqual(probe->items,
-                     f.EngineReference(*snapshot, 5, 10, Precision::kFp32),
+  ExpectBitwiseEqual(probe->items, f.EngineReference(*snapshot, 5, 10),
                      "healthy probe after recovery");
   const ServerStats after = server.stats();
   EXPECT_GE(after.to_healthy, 1);
   EXPECT_EQ(after.load_state, LoadState::kHealthy);
-}
-
-/// Without int8 blocks, degradation is the k clamp alone — never an error,
-/// and still bitwise (fp32 prefix).
-TEST(OverloadTest, DegradedFlushWithoutInt8BlocksStaysFp32) {
-  Fixture f;
-  FailPointGuard guard;
-  auto snapshot = f.Snapshot(/*build_int8=*/false);
-  ServerOptions options;
-  options.max_batch = 4;
-  options.flush_deadline_us = 0;
-  options.max_queue = 64;
-  options.overload.degrade_enter = 2;
-  options.overload.degrade_exit = 0;
-  options.overload.shed_enter = 50;
-  options.overload.shed_exit = 10;
-  options.overload.k_degraded = 3;
-  Server server(snapshot, options);
-
-  core::FailPoint::Arm("serve.slow_flush", /*arg=*/400'000, /*fires=*/1);
-  auto r0 = server.SubmitTopK(0, 10);
-  std::vector<std::future<core::StatusOr<TopKResult>>> fillers;
-  for (int64_t u = 1; u <= 8; ++u) {
-    fillers.push_back(server.SubmitTopK(u, 10));
-  }
-  (void)r0.get();
-  for (size_t i = 3; i < fillers.size(); ++i) {
-    auto result = fillers[i].get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const int64_t user = static_cast<int64_t>(i) + 1;
-    ExpectBitwiseEqual(
-        result->items,
-        f.EngineReference(*snapshot, user, 3, Precision::kFp32),
-        "degraded fp32 user " + std::to_string(user));
-  }
-  EXPECT_GE(server.stats().degraded_flushes, 1);
 }
 
 /// Drives the full ladder: Healthy -> Degraded -> Shedding under a
@@ -422,7 +379,7 @@ TEST(OverloadTest, DegradedFlushWithoutInt8BlocksStaysFp32) {
 TEST(OverloadTest, FullLadderWalkShedsAndRecovers) {
   Fixture f;
   FailPointGuard guard;
-  auto snapshot = f.Snapshot(/*build_int8=*/true);
+  auto snapshot = f.Snapshot();
   ServerOptions options;
   options.max_batch = 4;
   options.flush_deadline_us = 0;
@@ -477,7 +434,7 @@ TEST(OverloadTest, FullLadderWalkShedsAndRecovers) {
   auto probe = server.SubmitTopK(7, 10).get();
   ASSERT_TRUE(probe.ok());
   ExpectBitwiseEqual(probe->items,
-                     f.EngineReference(*snapshot, 7, 10, Precision::kFp32),
+                     f.EngineReference(*snapshot, 7, 10),
                      "post-recovery probe");
   const ServerStats stats = server.stats();
   EXPECT_GE(stats.to_healthy, 1);
@@ -504,6 +461,13 @@ TEST(OverloadTest, SubmitWithRetryRidesOutAdmissionShed) {
   core::FailPoint::Arm("serve.slow_flush", /*arg=*/500'000, /*fires=*/1);
   std::vector<std::future<core::StatusOr<TopKResult>>> admitted;
   admitted.push_back(server.SubmitTopK(0, 10));
+  // Wait (bounded, well inside the stall) for the flusher to claim that
+  // request: a flusher that wakes late would instead pop half of the full
+  // queue below and let the first retry attempt in.
+  for (int spins = 0; server.pending() > 0 && spins < 2000; ++spins) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(server.pending(), 0) << "flusher never claimed the first batch";
   int64_t sheds = 0;
   for (int64_t i = 1; i <= 20 && sheds == 0; ++i) {
     auto fut = server.SubmitTopK(i % 40, 10);
@@ -528,7 +492,7 @@ TEST(OverloadTest, SubmitWithRetryRidesOutAdmissionShed) {
   EXPECT_GE(backoff.attempts(), 1) << "first attempt should have shed";
   ExpectBitwiseEqual(
       result->items,
-      f.EngineReference(*server.current_snapshot(), 9, 10, Precision::kFp32),
+      f.EngineReference(*server.current_snapshot(), 9, 10),
       "retried request");
   for (auto& fut : admitted) ASSERT_TRUE(fut.get().ok());
 }

@@ -41,10 +41,9 @@ struct Fixture {
     }
   }
 
-  std::shared_ptr<const ModelSnapshot> Snapshot(bool build_int8 = false,
-                                                uint64_t version = 0) const {
-    auto snapshot =
-        ModelSnapshot::Create(embeddings, dataset.get(), build_int8, version);
+  std::shared_ptr<const ModelSnapshot> Snapshot(uint64_t version = 0) const {
+    auto snapshot = ModelSnapshot::Create(embeddings, dataset.get(),
+                                          /*build_int8=*/false, version);
     DARE_CHECK(snapshot.ok()) << snapshot.status().ToString();
     return *snapshot;
   }
@@ -168,13 +167,13 @@ TEST(ServerTest, SnapshotSwapKeepsResultsBitwiseIdenticalForSameContent) {
   ServerOptions options;
   options.max_batch = 8;
   options.flush_deadline_us = 500;
-  Server server(f.Snapshot(false, /*version=*/1), options);
+  Server server(f.Snapshot(/*version=*/1), options);
   // Swap in a freshly-built snapshot of the SAME embeddings mid-stream:
   // results must stay bitwise identical whichever snapshot answered.
   std::vector<std::future<core::StatusOr<TopKResult>>> futures;
   for (int64_t i = 0; i < 120; ++i) {
     futures.push_back(server.SubmitTopK(i % 40, 10));
-    if (i == 40) server.ReloadModel(f.Snapshot(false, /*version=*/2));
+    if (i == 40) server.ReloadModel(f.Snapshot(/*version=*/2));
   }
   bool saw_v2 = false;
   for (int64_t i = 0; i < 120; ++i) {
@@ -188,23 +187,25 @@ TEST(ServerTest, SnapshotSwapKeepsResultsBitwiseIdenticalForSameContent) {
   EXPECT_EQ(server.stats().reloads, 1);
 }
 
-TEST(ServerTest, Int8ServerCompletesAndRequiresInt8Snapshot) {
+/// int8 snapshots were removed; the factories keep their bool parameter
+/// only for positional callers and reject `true` instead of ignoring it.
+TEST(ServerTest, SnapshotFactoriesRejectInt8) {
   Fixture f;
-  ServerOptions options;
-  options.precision = Precision::kInt8;
-  options.max_batch = 16;
-  options.flush_deadline_us = 500;
-  Server server(f.Snapshot(/*build_int8=*/true), options);
-  auto ok = server.SubmitTopK(7, 10).get();
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_LE(ok->items.size(), 10u);
-  EXPECT_FALSE(ok->items.empty());
-  // Swapping in a snapshot without int8 blocks fails requests cleanly
-  // (FailedPrecondition) instead of aborting the flusher.
-  server.ReloadModel(f.Snapshot(/*build_int8=*/false));
-  auto bad = server.SubmitTopK(7, 10).get();
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), core::StatusCode::kFailedPrecondition);
+  auto created =
+      ModelSnapshot::Create(f.embeddings, f.dataset.get(), /*build_int8=*/true);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(created.status().message().find("int8"), std::string::npos);
+
+  const data::ResidentInteractions store =
+      data::ResidentInteractions::FromTrainSplit(*f.dataset);
+  auto from_store =
+      ModelSnapshot::CreateFromStore(f.embeddings, store, /*build_int8=*/true);
+  ASSERT_FALSE(from_store.ok());
+  EXPECT_EQ(from_store.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      ModelSnapshot::CreateFromStore(f.embeddings, store, /*build_int8=*/false)
+          .ok());
 }
 
 /// The concurrency gate: several producer threads hammer the queue while
@@ -216,7 +217,7 @@ TEST(ServerTest, MultiProducerHammerWithMidFlightReloads) {
   ServerOptions options;
   options.max_batch = 32;
   options.flush_deadline_us = 200;
-  Server server(f.Snapshot(false, 1), options);
+  Server server(f.Snapshot(1), options);
 
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 250;
@@ -251,7 +252,7 @@ TEST(ServerTest, MultiProducerHammerWithMidFlightReloads) {
   // Reload repeatedly while the producers are in flight.
   std::thread reloader([&] {
     for (uint64_t v = 2; v <= 9; ++v) {
-      server.ReloadModel(f.Snapshot(false, v));
+      server.ReloadModel(f.Snapshot(v));
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
@@ -282,7 +283,7 @@ TEST(ServerTest, StopVsSubmitHammerWithDeadlines) {
   options.flush_deadline_us = 200;
   options.max_queue = 32;
   options.overload.k_degraded = 3;
-  Server server(f.Snapshot(/*build_int8=*/true, 1), options);
+  Server server(f.Snapshot(1), options);
 
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 300;

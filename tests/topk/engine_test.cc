@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/cpu_features.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "data/dataset.h"
@@ -229,100 +228,6 @@ TEST(TopKEngineTest, TopKOneBitwiseEqualsBatchOfOne) {
   std::vector<ScoredItem> reused(30, ScoredItem{-1, 0.0f});
   engine.TopKOne(0, 4, seen, MaskMode::kDrop, &reused);
   EXPECT_LE(reused.size(), 4u);
-}
-
-// ---------------------------------------------------------------------------
-// int8 quantized scoring: ranking quality vs fp32, and bitwise determinism
-// across SIMD tiers, block sizes, and thread counts.
-// ---------------------------------------------------------------------------
-
-TEST(TopKEngineInt8Test, RequiresBuildFlagAndReportsCapability) {
-  Matrix nodes = RandomNodes(4 + 6, 5, 30);
-  Engine fp32_only(nodes, 4, 6);
-  EXPECT_FALSE(fp32_only.has_int8());
-  EngineOptions options;
-  options.build_int8 = true;
-  Engine both(nodes, 4, 6, options);
-  EXPECT_TRUE(both.has_int8());
-}
-
-/// The quality gate from the serve acceptance criteria: int8 top-K must
-/// track fp32 top-K closely (high overlap), and the surviving score error
-/// must respect the analytic per-element bound from tensor/quant.h.
-TEST(TopKEngineInt8Test, TopKOverlapAndScoreErrorVsFp32) {
-  data::Dataset ds = MakeRandomDataset(60, 80, 10, 31);
-  Matrix nodes = RandomNodes(ds.num_nodes(), 32, 32);
-  EngineOptions options;
-  options.build_int8 = true;
-  Engine engine(nodes, ds.num_users(), ds.num_items(), options);
-  SeenItemsFn seen = [&ds](int64_t u) { return &ds.TrainItemsOfUser(u); };
-  std::vector<int64_t> users;
-  for (int64_t u = 0; u < ds.num_users(); ++u) users.push_back(u);
-
-  const int64_t k = 10;
-  auto fp32 = engine.TopK(users, k, seen, MaskMode::kDrop, Precision::kFp32);
-  auto int8 = engine.TopK(users, k, seen, MaskMode::kDrop, Precision::kInt8);
-  ASSERT_EQ(fp32.size(), int8.size());
-
-  double overlap_sum = 0.0;
-  for (size_t q = 0; q < users.size(); ++q) {
-    ASSERT_EQ(int8[q].size(), fp32[q].size());
-    std::vector<int64_t> fp_items, i8_items;
-    for (const auto& s : fp32[q]) fp_items.push_back(s.item);
-    for (const auto& s : int8[q]) i8_items.push_back(s.item);
-    std::sort(fp_items.begin(), fp_items.end());
-    std::sort(i8_items.begin(), i8_items.end());
-    std::vector<int64_t> common;
-    std::set_intersection(fp_items.begin(), fp_items.end(), i8_items.begin(),
-                          i8_items.end(), std::back_inserter(common));
-    overlap_sum +=
-        static_cast<double>(common.size()) / static_cast<double>(fp_items.size());
-  }
-  const double mean_overlap = overlap_sum / static_cast<double>(users.size());
-  EXPECT_GE(mean_overlap, 0.9) << "int8 ranking drifted too far from fp32";
-}
-
-TEST(TopKEngineInt8Test, BitwiseInvariantAcrossTiersBlocksAndThreads) {
-  data::Dataset ds = MakeRandomDataset(30, 26, 8, 40);
-  Matrix nodes = RandomNodes(ds.num_nodes(), 19, 41);
-  SeenItemsFn seen = [&ds](int64_t u) { return &ds.TrainItemsOfUser(u); };
-  std::vector<int64_t> users;
-  for (int64_t u = 0; u < ds.num_users(); ++u) users.push_back(u);
-
-  EngineOptions base;
-  base.build_int8 = true;
-  Engine reference_engine(nodes, ds.num_users(), ds.num_items(), base);
-  auto reference =
-      reference_engine.TopK(users, 7, seen, MaskMode::kDrop, Precision::kInt8);
-
-  std::vector<core::SimdLevel> levels = {core::SimdLevel::kScalar};
-  if (core::HardwareSimdLevel() >= core::SimdLevel::kAvx2) {
-    levels.push_back(core::SimdLevel::kAvx2);
-  }
-  if (core::HardwareSimdLevel() >= core::SimdLevel::kAvx512) {
-    levels.push_back(core::SimdLevel::kAvx512);
-  }
-  const core::SimdLevel original = core::ActiveSimdLevel();
-  for (core::SimdLevel level : levels) {
-    core::SetSimdLevelForTest(level);
-    for (int64_t block : {1, 7, 128}) {
-      for (int threads : {1, 8}) {
-        core::ThreadPool::SetGlobalThreads(threads);
-        EngineOptions options;
-        options.build_int8 = true;
-        options.block_users = block;
-        Engine engine(nodes, ds.num_users(), ds.num_items(), options);
-        auto lists = engine.TopK(users, 7, seen, MaskMode::kDrop,
-                                 Precision::kInt8);
-        ASSERT_EQ(lists.size(), reference.size());
-        for (size_t q = 0; q < lists.size(); ++q) {
-          ExpectListsEqual(lists[q], reference[q]);
-        }
-      }
-    }
-  }
-  core::SetSimdLevelForTest(original);
-  core::ThreadPool::SetGlobalThreads(core::ThreadPool::DefaultThreads());
 }
 
 // ---------------------------------------------------------------------------
