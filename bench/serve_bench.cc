@@ -62,13 +62,13 @@
 #include <thread>
 #include <vector>
 
+#include "bench/run_header.h"
 #include "bench/seed_topk.h"
 #include "core/check.h"
 #include "core/config.h"
 #include "core/failpoint.h"
 #include "core/rng.h"
 #include "core/stopwatch.h"
-#include "core/thread_pool.h"
 #include "data/presets.h"
 #include "serve/recommender.h"
 #include "serve/server.h"
@@ -519,9 +519,8 @@ void WriteJson(const std::string& path, const std::string& dataset,
   DARE_CHECK(f != nullptr) << "cannot open " << path;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"serve_bench\",\n");
-  std::fprintf(f, "  \"compiler\": \"%s\",\n", __VERSION__);
-  std::fprintf(f, "  \"hardware_concurrency\": %d,\n",
-               darec::core::ThreadPool::DefaultThreads());
+  std::fprintf(f, "  \"header\": %s,\n",
+               darec::bench::RunHeaderJson().c_str());
   std::fprintf(f, "  \"dataset\": \"%s\",\n", dataset.c_str());
   std::fprintf(f, "  \"users\": %lld,\n", static_cast<long long>(num_users));
   std::fprintf(f, "  \"items\": %lld,\n", static_cast<long long>(num_items));

@@ -1,8 +1,16 @@
-// Batched top-K engine benchmark: users/sec of the engine-backed all-ranking
-// evaluation (eval::EvaluateRanking) and batched serving
-// (serve::Recommender::RecommendTopKBatch) against the frozen seed per-user
-// scoring loops (bench/seed_topk.cc, compiled at the seed's -O2), at
-// 1/2/4/8 pool threads, with bitwise parity checks. Writes BENCH_topk.json.
+// Batched top-K engine benchmark, at 1/2/4 pool threads, every workload
+// behind a bitwise parity gate. Writes BENCH_topk.json.
+//
+//  - eval_all_ranking: eval::EvaluateRanking on a Table II preset, against
+//    the frozen seed per-user loop (bench/seed_topk.cc, compiled at the
+//    seed's -O2);
+//  - serve_batch_topk: serve::Recommender::RecommendTopKBatch over every
+//    user, against the seed per-request loop;
+//  - web_flush_b10 / web_flush_b64: topk::Engine::TopK in the serving
+//    tier's flush shape on the bench/e2e web catalog's shape (200k users,
+//    20k items, random d-dim embeddings, ~10 seen items per user, k=20,
+//    kDrop), batches of 10 and 64 random users, against a scalar reference
+//    on every 16th query.
 //
 // Usage: topk_bench [out=BENCH_topk.json] [dataset=amazon-book-small]
 //                   [d=64] [serve_k=10] [smoke=0]
@@ -15,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/run_header.h"
 #include "bench/seed_topk.h"
 #include "core/check.h"
 #include "core/config.h"
@@ -25,6 +34,7 @@
 #include "eval/metrics.h"
 #include "serve/recommender.h"
 #include "tensor/init.h"
+#include "topk/engine.h"
 
 namespace {
 
@@ -32,7 +42,7 @@ using darec::core::Stopwatch;
 using darec::core::ThreadPool;
 using darec::tensor::Matrix;
 
-const std::vector<int> kThreadCounts = {1, 2, 4, 8};
+const std::vector<int> kThreadCounts = {1, 2, 4};
 
 /// Best wall seconds of fn() — one warmup, then repeats until 1 s total or
 /// 8 reps (single pass when smoke).
@@ -80,21 +90,25 @@ void CheckMetricsBitwiseEqual(const darec::eval::MetricSet& a,
 struct ThreadSample {
   int threads;
   double users_per_sec;
-  double speedup_vs_seed;
+  double speedup_vs_seed;  // unused when the workload has no seed loop
 };
 
 struct WorkloadReport {
   std::string name;
   std::string detail;
-  double seed_users_per_sec;
+  double seed_users_per_sec = 0.0;  // 0: no seed loop for this workload
   std::vector<ThreadSample> samples;
 };
 
 void PrintReport(const WorkloadReport& r) {
-  std::printf("%-18s seed %10.1f users/s", r.name.c_str(), r.seed_users_per_sec);
+  std::printf("%-18s", r.name.c_str());
+  if (r.seed_users_per_sec > 0.0) {
+    std::printf(" seed %10.1f users/s", r.seed_users_per_sec);
+  }
   for (const ThreadSample& s : r.samples) {
-    std::printf(" | %dT %10.1f (%.2fx)", s.threads, s.users_per_sec,
-                s.speedup_vs_seed);
+    std::printf(" | %dT %10.1f users/s %7.2f us/user", s.threads,
+                s.users_per_sec, 1e6 / s.users_per_sec);
+    if (r.seed_users_per_sec > 0.0) std::printf(" (%.2fx)", s.speedup_vs_seed);
   }
   std::printf("\n");
 }
@@ -106,8 +120,7 @@ void WriteJson(const std::string& path, const std::string& dataset,
   DARE_CHECK(f != nullptr) << "cannot open " << path;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"topk_bench\",\n");
-  std::fprintf(f, "  \"compiler\": \"%s\",\n", __VERSION__);
-  std::fprintf(f, "  \"hardware_concurrency\": %d,\n", ThreadPool::DefaultThreads());
+  std::fprintf(f, "  \"header\": %s,\n", darec::bench::RunHeaderJson().c_str());
   std::fprintf(f, "  \"dataset\": \"%s\",\n", dataset.c_str());
   std::fprintf(f, "  \"users\": %lld,\n", static_cast<long long>(num_users));
   std::fprintf(f, "  \"items\": %lld,\n", static_cast<long long>(num_items));
@@ -118,18 +131,25 @@ void WriteJson(const std::string& path, const std::string& dataset,
   std::fprintf(f, "  \"workloads\": [\n");
   for (size_t i = 0; i < reports.size(); ++i) {
     const WorkloadReport& r = reports[i];
+    const bool has_seed = r.seed_users_per_sec > 0.0;
     std::fprintf(f, "    {\n");
     std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
     std::fprintf(f, "      \"detail\": \"%s\",\n", r.detail.c_str());
-    std::fprintf(f, "      \"seed_users_per_sec\": %.1f,\n", r.seed_users_per_sec);
+    if (has_seed) {
+      std::fprintf(f, "      \"seed_users_per_sec\": %.1f,\n",
+                   r.seed_users_per_sec);
+    }
     std::fprintf(f, "      \"threads\": [\n");
     for (size_t t = 0; t < r.samples.size(); ++t) {
       const ThreadSample& s = r.samples[t];
       std::fprintf(f,
                    "        {\"threads\": %d, \"users_per_sec\": %.1f, "
-                   "\"speedup_vs_seed\": %.3f}%s\n",
-                   s.threads, s.users_per_sec, s.speedup_vs_seed,
-                   t + 1 < r.samples.size() ? "," : "");
+                   "\"us_per_user\": %.2f",
+                   s.threads, s.users_per_sec, 1e6 / s.users_per_sec);
+      if (has_seed) {
+        std::fprintf(f, ", \"speedup_vs_seed\": %.3f", s.speedup_vs_seed);
+      }
+      std::fprintf(f, "}%s\n", t + 1 < r.samples.size() ? "," : "");
     }
     std::fprintf(f, "      ]\n");
     std::fprintf(f, "    }%s\n", i + 1 < reports.size() ? "," : "");
@@ -137,6 +157,25 @@ void WriteJson(const std::string& path, const std::string& dataset,
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
+}
+
+/// Scalar reference for the web workload's parity gate: per-item scalar
+/// dot, seen items dropped, full sort by (score desc, id asc), truncate.
+std::vector<darec::topk::ScoredItem> ScalarTopK(
+    const Matrix& nodes, int64_t num_users, int64_t num_items, int64_t user,
+    int64_t k, const std::vector<int64_t>& seen) {
+  std::vector<darec::topk::ScoredItem> all;
+  const float* urow = nodes.Row(user);
+  for (int64_t item = 0; item < num_items; ++item) {
+    if (std::binary_search(seen.begin(), seen.end(), item)) continue;
+    const float* irow = nodes.Row(num_users + item);
+    float score = 0.0f;
+    for (int64_t c = 0; c < nodes.cols(); ++c) score += urow[c] * irow[c];
+    all.push_back({item, score});
+  }
+  std::sort(all.begin(), all.end(), darec::topk::RanksBefore());
+  all.resize(std::min<size_t>(all.size(), static_cast<size_t>(k)));
+  return all;
 }
 
 }  // namespace
@@ -250,6 +289,77 @@ int main(int argc, char** argv) {
     ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreads());
     PrintReport(report);
     reports.push_back(std::move(report));
+  }
+
+  // --- Workload 3: the serving tier's flush shape on a web catalog --------
+  {
+    constexpr int64_t kWebUsers = 200000;
+    constexpr int64_t kWebItems = 20000;
+    constexpr int64_t kWebK = 20;
+    constexpr int64_t kSeenPerUser = 10;  // the web_scale catalog's mean degree
+    constexpr int64_t kQueries = 2560;    // per timed pass, cut into batches
+    constexpr int64_t kGateStride = 16;   // every 16th query is checked
+    core::Rng web_rng(23);
+    const Matrix web_nodes =
+        tensor::RandomNormal(kWebUsers + kWebItems, dim, 1.0f, web_rng);
+    const topk::Engine engine(web_nodes, kWebUsers, kWebItems);
+    std::vector<int64_t> queries(kQueries);
+    for (int64_t& u : queries) u = web_rng.UniformInt(kWebUsers);
+    // Seen lists are sorted but may repeat an id, as a training row can.
+    std::vector<std::vector<int64_t>> seen_lists(static_cast<size_t>(kWebUsers));
+    for (int64_t u : queries) {
+      std::vector<int64_t>& list = seen_lists[static_cast<size_t>(u)];
+      if (!list.empty()) continue;
+      for (int64_t i = 0; i < kSeenPerUser; ++i) {
+        list.push_back(web_rng.UniformInt(kWebItems));
+      }
+      std::sort(list.begin(), list.end());
+    }
+    const topk::SeenItemsFn seen = [&seen_lists](int64_t u) {
+      return &seen_lists[static_cast<size_t>(u)];
+    };
+    std::vector<std::vector<topk::ScoredItem>> reference(kQueries);
+    for (int64_t q = 0; q < kQueries; q += kGateStride) {
+      const int64_t u = queries[q];
+      reference[q] = ScalarTopK(web_nodes, kWebUsers, kWebItems, u, kWebK,
+                                seen_lists[static_cast<size_t>(u)]);
+    }
+    std::printf("web catalog: %lld users, %lld items, d=%lld\n",
+                (long long)kWebUsers, (long long)kWebItems, (long long)dim);
+    for (int64_t batch : {10, 64}) {
+      WorkloadReport report;
+      report.name = "web_flush_b" + std::to_string(batch);
+      report.detail = "Engine::TopK, 200k users x 20k items, batches of " +
+                      std::to_string(batch) +
+                      " random users, k=20, kDrop, ~10 seen items per user";
+      for (int threads : kThreadCounts) {
+        ThreadPool::SetGlobalThreads(threads);
+        std::vector<std::vector<topk::ScoredItem>> lists(kQueries);
+        const double s = BestSeconds(
+            [&] {
+              for (int64_t b0 = 0; b0 < kQueries; b0 += batch) {
+                const std::vector<int64_t> users(
+                    queries.begin() + b0,
+                    queries.begin() + std::min(kQueries, b0 + batch));
+                auto ranked =
+                    engine.TopK(users, kWebK, seen, topk::MaskMode::kDrop);
+                std::move(ranked.begin(), ranked.end(), lists.begin() + b0);
+              }
+            },
+            smoke);
+        for (int64_t q = 0; q < kQueries; q += kGateStride) {
+          DARE_CHECK(lists[q] == reference[q])
+              << "web parity: user " << queries[q] << " diverged from the "
+              << "scalar reference at batch " << batch << ", " << threads
+              << " threads";
+        }
+        report.samples.push_back(
+            {threads, static_cast<double>(kQueries) / s, 0.0});
+      }
+      ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreads());
+      PrintReport(report);
+      reports.push_back(std::move(report));
+    }
   }
 
   WriteJson(out_path, dataset_name, dataset->num_users(), dataset->num_items(),

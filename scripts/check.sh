@@ -69,8 +69,11 @@ DAREC_FAILPOINTS=serve.slow_flush=300000:1 \
   ./build/bench/serve_bench overload_smoke=1
 
 echo "=== ctest under DAREC_SIMD=scalar (forced lowest kernel tier) ==="
+# The top-K engine scores 32-item panels with the dispatched matmul kernel,
+# so its bitwise gates (naive reference, SimilarItems, eval and serving
+# parity) run on the scalar tier too.
 DAREC_SIMD=scalar ctest --test-dir build --output-on-failure \
-  -R 'matrix_test|ops_property_test|cpu_features_test|golden_trace_test|parallel_executor_test'
+  -R 'matrix_test|ops_property_test|cpu_features_test|golden_trace_test|parallel_executor_test|topk_engine_test|recommender_test|metrics_test|server_test'
 
 echo "=== ctest under DAREC_FUSION=off (every recorded chain replayed) ==="
 # The replay path must carry the same golden traces, property contracts, and
@@ -107,14 +110,17 @@ if [[ "$run_asan" == 1 ]]; then
              trainer_ckpt_test workspace_test graph_context_test \
              alloc_regression_test backoff_test overload_test \
              shards_test web_scale_test sharded_checkpoint_test \
-             interactions_test >/dev/null
+             interactions_test topk_engine_test recommender_test >/dev/null
   # overload_test under ASan covers the fail-point-injected flush stalls and
   # failures (expired-promise and degraded-batch memory handling).
   # shards_test/sharded_checkpoint_test replay the bit-flip and truncation
   # sweeps over the mmap'd shard + manifest parsers under ASan, where an
   # out-of-bounds read caused by a corrupted length field would trap.
+  # topk_engine_test/recommender_test run the packed item panels and the
+  # per-task score tiles under ASan: ragged last panels, one-row groups and
+  # whole-panel seen lists are where an out-of-bounds index would hide.
   ctest --test-dir build-asan --output-on-failure \
-    -R 'failpoint_test|checkpoint_test|io_corruption_test|io_test|trainer_ckpt_test|workspace_test|graph_context_test|alloc_regression_test|backoff_test|overload_test|shards_test|web_scale_test|sharded_checkpoint_test|interactions_test'
+    -R 'failpoint_test|checkpoint_test|io_corruption_test|io_test|trainer_ckpt_test|workspace_test|graph_context_test|alloc_regression_test|backoff_test|overload_test|shards_test|web_scale_test|sharded_checkpoint_test|interactions_test|topk_engine_test|recommender_test'
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -64,11 +64,13 @@ double MrrAtK(const std::vector<int64_t>& ranked,
 /// Recall@K / NDCG@K over users. `node_embeddings` holds user rows
 /// [0, num_users) then item rows.
 ///
-/// Runs on the batched top-K engine (topk::Engine): user blocks are scored
-/// with one blocked GEMM and ranked by a parallel per-row select with the
-/// deterministic (score desc, id asc) tie-break, so results are
+/// Runs on the batched top-K engine (topk::Engine): groups of users are
+/// scored against packed item panels straight into per-user bounded heaps
+/// with the deterministic (score desc, id asc) tie-break, so results are
 /// bit-identical at any thread count — and bitwise equal to the per-user
-/// scalar loop this replaced whenever scores are tie-free.
+/// scalar loop this replaced whenever scores are tie-free. Training items
+/// are masked at -inf; a seen list may hold duplicate ids (unsorted
+/// training rows are sorted, not deduplicated) and still masks each item.
 MetricSet EvaluateRanking(const tensor::Matrix& node_embeddings,
                           const data::Dataset& dataset,
                           const EvalOptions& options = EvalOptions());

@@ -88,13 +88,12 @@ core::StatusOr<std::vector<ScoredItem>> Recommender::SimilarItems(int64_t item,
   }
   if (k <= 0) return core::Status::InvalidArgument("k must be positive");
   const int64_t num_items = dataset_->num_items();
-  const int64_t dim = embeddings_->cols();
 
-  // One 1 x d GEMM against the precomputed d x I item block gives every
-  // dot product; norms were computed once at Create.
-  tensor::Matrix query(1, dim);
-  query.CopyRowFrom(*embeddings_, dataset_->num_users() + item, 0);
-  const tensor::Matrix dots = tensor::MatMul(query, engine_->items_transposed());
+  // One pass over the engine's item panels gives every dot product; norms
+  // were computed once at Create.
+  std::vector<float> dots(static_cast<size_t>(num_items));
+  engine_->ScoreAllItems(embeddings_->Row(dataset_->num_users() + item),
+                         dots.data());
   const tensor::Matrix& norms = engine_->item_norms();
   const double target_norm = norms(item, 0);
 
@@ -102,17 +101,14 @@ core::StatusOr<std::vector<ScoredItem>> Recommender::SimilarItems(int64_t item,
   candidates.reserve(static_cast<size_t>(num_items - 1));
   for (int64_t other = 0; other < num_items; ++other) {
     if (other == item) continue;
+    const float dot = dots[static_cast<size_t>(other)];
     const double denom = target_norm * norms(other, 0);
     candidates.push_back(
-        {other, denom > 1e-12 ? static_cast<float>(dots(0, other) / denom)
-                              : 0.0f});
+        {other, denom > 1e-12 ? static_cast<float>(dot / denom) : 0.0f});
   }
   const int64_t take = std::min<int64_t>(k, static_cast<int64_t>(candidates.size()));
   std::partial_sort(candidates.begin(), candidates.begin() + take, candidates.end(),
-                    [](const ScoredItem& a, const ScoredItem& b) {
-                      return a.score != b.score ? a.score > b.score
-                                                : a.item < b.item;
-                    });
+                    topk::RanksBefore());
   candidates.resize(take);
   return candidates;
 }

@@ -22,12 +22,12 @@ using ScoredItem = topk::ScoredItem;
 /// embeddings) to answer top-K queries. Stateless per query and
 /// thread-compatible for concurrent reads.
 ///
-/// All top-K scoring runs on the shared topk::Engine: user blocks are
-/// scored against every item with one blocked GEMM, train-seen items are
-/// masked in a linear walk over each user's sorted seen list, and the
-/// parallel per-row select ranks with the deterministic (score desc,
-/// id asc) tie-break. The transposed item block and the item L2 norms are
-/// precomputed once at Create.
+/// All top-K scoring runs on the shared topk::Engine: groups of users are
+/// scored against packed 32-item panels straight into per-user bounded
+/// heaps, train-seen items are masked by a forward cursor over each user's
+/// sorted seen list, and lists rank with the deterministic (score desc,
+/// id asc) tie-break. The item panels and the item L2 norms are precomputed
+/// once at Create.
 class Recommender {
  public:
   /// `node_embeddings` holds user rows [0, num_users) then item rows, as
@@ -52,8 +52,8 @@ class Recommender {
   core::StatusOr<std::vector<ScoredItem>> RecommendTopK(int64_t user,
                                                         int64_t k) const;
 
-  /// Batched top-k: answers every user in `users` from blocked GEMM passes
-  /// over the item table (many users per pass instead of one scalar loop
+  /// Batched top-k: answers every user in `users` from fused passes over
+  /// the item panels (a group of users per pass instead of one scalar loop
   /// per request). Result i is the ranked list for users[i]; duplicates are
   /// allowed. Identical, list for list, to per-user RecommendTopK calls,
   /// under the same k contract: non-positive k fails, oversized k clamps
@@ -66,7 +66,8 @@ class Recommender {
 
   /// Items most similar to `item` by cosine of item embeddings, excluding
   /// itself ("users also liked" carousel). Uses the precomputed item norms
-  /// and transposed item block — one 1 x d GEMM per call.
+  /// and takes the dot row from the engine's item panels (ScoreAllItems).
+  /// Ranked by topk::RanksBefore.
   core::StatusOr<std::vector<ScoredItem>> SimilarItems(int64_t item,
                                                        int64_t k) const;
 

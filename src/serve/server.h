@@ -93,9 +93,10 @@ struct ServerStats {
 /// one flusher thread coalesces whatever is pending into a single engine
 /// batch — released by a size OR deadline trigger, whichever fires first —
 /// and completes each request through its future. N concurrent batch-of-one
-/// GEMMs become one blocked GEMM per flush, which is where the engine's
-/// batch throughput (BENCH_topk.json) turns into serving throughput
-/// (BENCH_serve.json).
+/// scans become one engine batch per flush: the flush's users are split
+/// into row groups that each stream the item panels once into per-request
+/// heaps, which is where the engine's batch throughput (BENCH_topk.json)
+/// turns into serving throughput (BENCH_serve.json).
 ///
 /// A flush scores every request in the batch with the engine's largest
 /// requested k and hands each request the prefix it asked for. Selection
@@ -111,7 +112,7 @@ struct ServerStats {
 ///    (ResourceExhausted — retryable, see SubmitWithRetry);
 ///  - per-request deadlines: SubmitTopK(user, k, timeout_us) requests
 ///    expire with DeadlineExceeded at admission, batch assembly, or inside
-///    a stalled flush — an expired request never occupies a GEMM slot;
+///    a stalled flush — an expired request never occupies a scoring slot;
 ///  - the degradation ladder (server_overload.h): watermark observations at
 ///    every admission and flush assembly walk Healthy → Degraded →
 ///    Shedding, all decisions pure functions of observed depth.

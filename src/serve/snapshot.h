@@ -13,7 +13,7 @@
 namespace darec::serve {
 
 /// One immutable, self-contained servable model: the node embeddings, the
-/// scoring engine precomputed over them (transposed item block, norms),
+/// scoring engine precomputed over them (packed item panels, norms),
 /// and the per-user seen-item index masked from results. Snapshots are
 /// what serve::Server swaps atomically on ReloadModel — every field is set
 /// at Create and never mutated, so any number of threads may score against

@@ -21,6 +21,15 @@ struct ScoredItem {
   }
 };
 
+/// The engine-wide ranking order: score descending, item id ascending. Every
+/// ranked list in the repository (top-K, SimilarItems) sorts by it. A
+/// functor, not a function, so heaps and sorts inline it.
+struct RanksBefore {
+  bool operator()(const ScoredItem& a, const ScoredItem& b) const {
+    return a.score != b.score ? a.score > b.score : a.item < b.item;
+  }
+};
+
 /// What to do with a user's masked (seen) items.
 enum class MaskMode {
   /// Keep them in the ranking with score -inf — the all-ranking evaluation
@@ -33,20 +42,16 @@ enum class MaskMode {
   kDrop,
 };
 
-struct EngineOptions {
-  /// Users scored per GEMM block; bounds the score-buffer working set to
-  /// `block_users * num_items` floats. Values < 1 are clamped to 1. The
-  /// block size never affects results: scoring and selection are per-user.
-  int64_t block_users = 128;
-};
-
-/// A non-owning view of one user's sorted masked-item list. Converts
-/// implicitly from the containers every seen-list producer already holds — a
-/// vector (or pointer to one, where nullptr means "nothing seen"), a
-/// std::span into a memory-mapped shard block, or a raw pointer + length —
-/// so resident and block-streamed data sources feed the same engine without
-/// copying ids. The referenced ids must stay alive and unchanged for the
-/// duration of the TopK call that receives the span.
+/// A non-owning view of one user's masked-item list: ids sorted ascending,
+/// duplicates allowed (an unsorted training row sorted without
+/// deduplication, e.g. by ResidentInteractions::FromStoreSorted, masks each
+/// of its items exactly once). Converts implicitly from the containers every
+/// seen-list producer already holds — a vector (or pointer to one, where
+/// nullptr means "nothing seen"), a std::span into a memory-mapped shard
+/// block, or a raw pointer + length — so resident and block-streamed data
+/// sources feed the same engine without copying ids. The referenced ids must
+/// stay alive and unchanged for the duration of the TopK call that receives
+/// the span.
 struct ItemSpan {
   const int64_t* ids = nullptr;
   size_t count = 0;
@@ -65,7 +70,7 @@ struct ItemSpan {
   int64_t operator[](size_t i) const { return ids[i]; }
 };
 
-/// Sorted ascending list of item ids to mask for `user` (empty for none).
+/// The ItemSpan of item ids to mask for `user` (empty for none).
 /// Invoked from pool worker threads — must be a pure lookup.
 using SeenItemsFn = std::function<ItemSpan(int64_t user)>;
 
@@ -81,15 +86,20 @@ inline int64_t ClampK(int64_t k, int64_t cap) {
 
 /// Batched top-K scoring engine — the one scoring core shared by the
 /// all-ranking evaluation (`eval::EvaluateRanking`), the serving facade
-/// (`serve::Recommender`), and the online tier (`serve::Server`). A block
-/// of users is scored against every item as one blocked `MatMul(U_block,
-/// Iᵀ)` (the PR 1 register-tiled kernel), each user's sorted seen list is
-/// masked in a linear merge walk, and a parallel per-row bounded-heap
-/// select extracts the top-K with the deterministic (score desc, id asc)
-/// tie-break. All chunking derives from shapes only (core::ParallelFor), so
-/// ranked lists are bit-identical at any thread count and any block size.
-/// Block and score buffers are drawn from the global tensor::Workspace, so
-/// steady-state queries perform no Matrix allocations.
+/// (`serve::Recommender`), and the online tier (`serve::Server`).
+///
+/// Items are stored as packed 32-item panels (`[⌈I/32⌉][d][32]`, the last
+/// one zero-padded). Queried users are split into row groups whose size
+/// derives from the batch size only; each group is one pool task. A task
+/// scores its rows against one panel at a time into an L1-sized scratch
+/// (the SIMD `matmul_row_range` kernel with n = 32) and feeds every row's
+/// bounded heap straight from that scratch, masking each user's sorted seen
+/// list with a forward cursor. No users × items score block is ever
+/// written. Each score is the same per-element kernel chain as a scalar
+/// ascending-p dot, and each row's heap sees its items in ascending id
+/// order, so ranked lists (score desc, id asc) are bit-identical at any
+/// thread count and in any batch composition. Scratch is drawn from the
+/// global tensor::Workspace, so warm queries perform no Matrix allocations.
 ///
 /// Thread-compatible for concurrent TopK/TopKOne calls (the engine is
 /// immutable after construction).
@@ -97,10 +107,10 @@ class Engine {
  public:
   /// `node_embeddings` holds user rows [0, num_users) then item rows, as
   /// produced by pipeline::TrainResult::final_embeddings. It is held by
-  /// pointer and must outlive the engine. The d x I transposed item block
-  /// and the item L2 norms are precomputed here, once.
+  /// pointer and must outlive the engine. The item panels and the item L2
+  /// norms are built here, once, in parallel over panels.
   Engine(const tensor::Matrix& node_embeddings, int64_t num_users,
-         int64_t num_items, const EngineOptions& options = EngineOptions());
+         int64_t num_items);
 
   /// Ranked top-min(k, num_items) list for every queried user (ids in
   /// [0, num_users)), highest score first, ties broken by ascending item id.
@@ -117,9 +127,10 @@ class Engine {
   void TopKOne(int64_t user, int64_t k, const SeenItemsFn& seen,
                MaskMode mask_mode, std::vector<ScoredItem>* out) const;
 
-  /// Precomputed d x num_items transposed item block: scores any row block
-  /// of queries against all items with one no-transpose GEMM.
-  const tensor::Matrix& items_transposed() const { return items_t_; }
+  /// scores[i] = query · item i for every item (`query` holds d floats,
+  /// `scores` num_items), computed from the panels with the same kernel
+  /// chain TopK ranks by.
+  void ScoreAllItems(const float* query, float* scores) const;
 
   /// Precomputed num_items x 1 item L2 norms (cosine denominators).
   const tensor::Matrix& item_norms() const { return item_norms_; }
@@ -128,18 +139,20 @@ class Engine {
   int64_t num_items() const { return num_items_; }
 
  private:
-  /// Scores users[b0, b1) into a pooled block of float score rows and runs
-  /// the parallel per-row select into lists[b0, b1).
-  void ScoreAndSelectBlock(const std::vector<int64_t>& users, int64_t b0,
-                           int64_t b1, int64_t take, const SeenItemsFn& seen,
-                           MaskMode mask_mode,
-                           std::vector<std::vector<ScoredItem>>* lists) const;
+  /// Ranks users[0, rows) into lists[0, rows) (at most 32 rows): one fused
+  /// pass over the item panels with one bounded heap per row.
+  void TopKGroup(const int64_t* users, int64_t rows, int64_t take,
+                 const SeenItemsFn& seen, MaskMode mask_mode,
+                 std::vector<ScoredItem>* lists) const;
+
+  /// Panel p: d rows of the 32 coordinates of items [32p, 32p + 32).
+  const float* Panel(int64_t p) const;
 
   const tensor::Matrix* nodes_;
   int64_t num_users_;
   int64_t num_items_;
-  EngineOptions options_;
-  tensor::Matrix items_t_;     // d x I
+  int64_t num_panels_;
+  tensor::Matrix panels_;      // (num_panels * d) x 32
   tensor::Matrix item_norms_;  // I x 1
 };
 
