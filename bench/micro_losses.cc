@@ -5,9 +5,10 @@
 //
 // `micro_losses --alloc_json[=PATH]` instead runs the memory-model profile:
 // steady-state Matrix heap allocations / bytes / wall time per step for each
-// alignment loss and for full TrainStep epochs, with the per-step graph
-// arena + workspace pool on ("pooled") vs off ("legacy"), written as
-// BENCH_autograd.json. This is the before/after evidence for DESIGN.md §10.
+// alignment loss, with the per-step graph arena + workspace pool on
+// ("pooled") vs off ("legacy"), and for full TrainStep epochs (always
+// pooled), written as BENCH_autograd.json. This is the before/after
+// evidence for DESIGN.md §10.
 //
 // `micro_losses --fusion_json[=PATH]` profiles expression fusion (DESIGN.md
 // §14): forward+backward wall time per step for each recorded loss chain
@@ -184,12 +185,16 @@ BENCHMARK(BM_GreedyVsHungarianMatching)
 // Allocation profile (--alloc_json): the memory-model before/after numbers.
 // ---------------------------------------------------------------------------
 
-/// One profiled scenario, measured twice: with the GraphContext arena +
-/// workspace pool ("pooled") and on the legacy allocate-per-op path.
+/// One profiled scenario: with the GraphContext arena + workspace pool
+/// ("pooled") and, for single losses, also without a context — the
+/// allocate-per-op path code outside training still takes ("legacy").
+/// Training epochs always run inside the step's context, so their rows
+/// have no legacy arm.
 struct AllocRow {
   std::string name;
   std::string unit;  // "step" or "epoch"
   int64_t steps = 0;
+  bool has_legacy = false;
   int64_t pooled_allocs = 0, pooled_bytes = 0;
   int64_t legacy_allocs = 0, legacy_bytes = 0;
   double pooled_ms = 0.0, legacy_ms = 0.0;
@@ -210,6 +215,7 @@ AllocRow ProfileLoss(const std::string& name, StepFn step, int steps = 20) {
   row.name = name;
   row.unit = "step";
   row.steps = steps;
+  row.has_legacy = true;
 
   {  // Pooled: every iteration runs inside a reusable per-step arena.
     tensor::GraphContext ctx;
@@ -268,41 +274,31 @@ pipeline::ExperimentSpec AllocSpec(const std::string& variant) {
   return spec;
 }
 
-/// Full training epochs through TrainStep — arena on vs off, fresh
-/// deterministic experiment for each mode.
+/// Full training epochs through TrainStep, after one warm-up epoch, on a
+/// fresh deterministic experiment.
 AllocRow ProfileTrainEpochs(const std::string& variant, int epochs = 2) {
   using tensor::AllocStats;
   AllocRow row;
   row.name = "train_epoch_" + variant;
   row.unit = "epoch";
   row.steps = epochs;
-  for (bool pooled : {true, false}) {
-    auto experiment = pipeline::Experiment::Create(AllocSpec(variant));
-    if (!experiment.ok()) {
-      std::fprintf(stderr, "experiment setup failed: %s\n",
-                   experiment.status().ToString().c_str());
-      continue;
-    }
-    pipeline::Trainer& trainer = (*experiment)->trainer();
-    trainer.mutable_step().set_graph_context_enabled(pooled);
-    trainer.RunEpoch();  // Warm-up epoch.
-    AllocStats::SetEnabled(true);
-    AllocStats::Reset();
-    auto t0 = std::chrono::steady_clock::now();
-    for (int e = 0; e < epochs; ++e) trainer.RunEpoch();
-    const double ms = MsSince(t0);
-    AllocStats::Snapshot snap = AllocStats::Take();
-    AllocStats::SetEnabled(false);
-    if (pooled) {
-      row.pooled_allocs = snap.allocations;
-      row.pooled_bytes = snap.bytes;
-      row.pooled_ms = ms;
-    } else {
-      row.legacy_allocs = snap.allocations;
-      row.legacy_bytes = snap.bytes;
-      row.legacy_ms = ms;
-    }
+  auto experiment = pipeline::Experiment::Create(AllocSpec(variant));
+  if (!experiment.ok()) {
+    std::fprintf(stderr, "experiment setup failed: %s\n",
+                 experiment.status().ToString().c_str());
+    return row;
   }
+  pipeline::Trainer& trainer = (*experiment)->trainer();
+  trainer.RunEpoch();  // Warm-up epoch.
+  AllocStats::SetEnabled(true);
+  AllocStats::Reset();
+  auto t0 = std::chrono::steady_clock::now();
+  for (int e = 0; e < epochs; ++e) trainer.RunEpoch();
+  row.pooled_ms = MsSince(t0);
+  AllocStats::Snapshot snap = AllocStats::Take();
+  AllocStats::SetEnabled(false);
+  row.pooled_allocs = snap.allocations;
+  row.pooled_bytes = snap.bytes;
   return row;
 }
 
@@ -368,28 +364,36 @@ int RunAllocProfile(const std::string& out_path) {
   std::fprintf(f,
                "  \"note\": \"steady-state Matrix heap allocations per "
                "forward+backward, graph arena + workspace pool (pooled) vs "
-               "allocate-per-op (legacy); counts cover the measured "
-               "iterations after one warm-up\",\n");
+               "allocate-per-op without a graph context (legacy, single "
+               "losses only: training always runs in a context); counts "
+               "cover the measured iterations after one warm-up\",\n");
   std::fprintf(f, "  \"scenarios\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const AllocRow& r = rows[i];
     const double n = static_cast<double>(r.steps);
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"iterations\": %lld, \"unit\": \"%s\",\n"
-        "     \"pooled\": {\"allocs_per_%s\": %.2f, \"bytes_per_%s\": %.1f, "
-        "\"ms_per_%s\": %.4f},\n"
-        "     \"legacy\": {\"allocs_per_%s\": %.2f, \"bytes_per_%s\": %.1f, "
-        "\"ms_per_%s\": %.4f}}%s\n",
-        r.name.c_str(), static_cast<long long>(r.steps), r.unit.c_str(),
-        r.unit.c_str(), r.pooled_allocs / n, r.unit.c_str(),
-        r.pooled_bytes / n, r.unit.c_str(), r.pooled_ms / n,
-        r.unit.c_str(), r.legacy_allocs / n, r.unit.c_str(),
-        r.legacy_bytes / n, r.unit.c_str(), r.legacy_ms / n,
-        i + 1 < rows.size() ? "," : "");
-    std::printf("%-28s pooled %8.2f allocs/%s  legacy %8.2f allocs/%s\n",
-                r.name.c_str(), r.pooled_allocs / n, r.unit.c_str(),
-                r.legacy_allocs / n, r.unit.c_str());
+    const char* u = r.unit.c_str();
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"iterations\": %lld, \"unit\": "
+                 "\"%s\",\n"
+                 "     \"pooled\": {\"allocs_per_%s\": %.2f, \"bytes_per_%s\": "
+                 "%.1f, \"ms_per_%s\": %.4f}",
+                 r.name.c_str(), static_cast<long long>(r.steps), u, u,
+                 r.pooled_allocs / n, u, r.pooled_bytes / n, u,
+                 r.pooled_ms / n);
+    if (r.has_legacy) {
+      std::fprintf(f,
+                   ",\n     \"legacy\": {\"allocs_per_%s\": %.2f, "
+                   "\"bytes_per_%s\": %.1f, \"ms_per_%s\": %.4f}",
+                   u, r.legacy_allocs / n, u, r.legacy_bytes / n, u,
+                   r.legacy_ms / n);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
+    std::printf("%-28s pooled %8.2f allocs/%s", r.name.c_str(),
+                r.pooled_allocs / n, u);
+    if (r.has_legacy) {
+      std::printf("  legacy %8.2f allocs/%s", r.legacy_allocs / n, u);
+    }
+    std::printf("\n");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

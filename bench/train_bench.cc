@@ -1,13 +1,12 @@
 // Training-throughput bench: the workers × SIMD sweep behind BENCH_train.json.
 //
 //   ./train_bench [datasets=tiny,amazon-book-small] [epochs=3]
-//                 [workers=1,2,4,8] [grad_accum=8] [out=BENCH_train.json]
+//                 [workers=1,2,4] [grad_accum=8] [out=BENCH_train.json]
 //
-// Each dataset runs one serial legacy cell (workers=1, grad_accum=1 — the
-// per-batch update path every earlier release used) and a grid of
-// data-parallel cells (grad_accum=8 super-steps) over worker counts ×
-// compiled SIMD tiers. Every cell reports epochs/sec; parity gates hard-fail
-// the bench when any bit drifts:
+// Each dataset runs one serial cell (workers=1, grad_accum=1 — per-batch
+// updates) and a grid of data-parallel cells (grad_accum=8 super-steps, one
+// shared forward each) over worker counts × compiled SIMD tiers. Every cell
+// reports epochs/sec; parity gates hard-fail the bench when any bit drifts:
 //   - all SIMD tiers must match the scalar tier bitwise (per cell shape),
 //   - all worker counts must match workers=1 bitwise (per grad_accum).
 // So the JSON doubles as a machine-checked correctness artifact: a row in
@@ -22,8 +21,8 @@
 #include "bench_util.h"
 #include "core/config.h"
 #include "core/cpu_features.h"
-#include "core/thread_pool.h"
 #include "pipeline/experiment.h"
+#include "run_header.h"
 
 namespace darec {
 namespace {
@@ -101,7 +100,7 @@ int main(int argc, char** argv) {
   const int64_t epochs = config.GetInt("epochs", 3);
   const int64_t grad_accum = config.GetInt("grad_accum", 8);
   const std::vector<std::string> worker_list =
-      darec::benchutil::SplitCsv(config.GetString("workers", "1,2,4,8"));
+      darec::benchutil::SplitCsv(config.GetString("workers", "1,2,4"));
   const std::string out_path = config.GetString("out", "BENCH_train.json");
 
   std::vector<SimdLevel> tiers{SimdLevel::kScalar};
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   bool all_parity_ok = true;
   for (const std::string& dataset : datasets) {
-    // Legacy serial baseline (per-batch updates), scalar and best tier:
+    // Serial baseline (per-batch updates), scalar and best tier:
     // isolates the SIMD-only speedup on the unchanged training semantics.
     std::vector<Cell> serial;
     for (SimdLevel tier : {SimdLevel::kScalar, best}) {
@@ -154,14 +153,13 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n  \"bench\": \"train_bench\",\n");
   std::fprintf(f,
                "  \"note\": \"lightgcn+darec training throughput; serial = "
-               "legacy per-batch updates, parallel = grad_accum=%" PRId64
-               " super-steps; parity gates assert every simd tier and worker "
-               "count is bitwise equal to its reference cell; measured on "
-               "hardware_threads hardware threads (worker counts above it "
-               "prove correctness, not speed)\",\n",
+               "per-batch updates, parallel = grad_accum=%" PRId64
+               " super-steps (one shared forward and backward through the "
+               "propagation each); parity gates assert every simd tier and "
+               "worker count is bitwise equal to its reference cell; worker "
+               "counts above header.nproc prove correctness, not speed\",\n",
                grad_accum);
-  std::fprintf(f, "  \"hardware_threads\": %d,\n",
-               darec::core::ThreadPool::DefaultThreads());
+  std::fprintf(f, "  \"header\": %s,\n", darec::bench::RunHeaderJson().c_str());
   std::fprintf(f, "  \"hardware_simd\": \"%s\",\n",
                darec::core::SimdLevelName(darec::core::HardwareSimdLevel()));
   std::fprintf(f, "  \"epochs\": %" PRId64 ",\n", epochs);

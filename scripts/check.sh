@@ -15,17 +15,21 @@
 # and a parity-gated fusion bench smoke guard expression fusion (both
 # evaluation paths must stay bitwise identical). A data_bench smoke
 # generates a multi-shard web_scale catalog and gates the streamed
-# (memory-mapped) data path bitwise against the resident one.
+# (memory-mapped) data path bitwise against the resident one. An
+# UndefinedBehaviorSanitizer pass runs the whole suite and aborts on the
+# first finding.
 #
-# Usage: scripts/check.sh [--no-asan] [--no-tsan]
+# Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-ubsan]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run_asan=1
 run_tsan=1
+run_ubsan=1
 for arg in "$@"; do
   [[ "$arg" == "--no-asan" ]] && run_asan=0
   [[ "$arg" == "--no-tsan" ]] && run_tsan=0
+  [[ "$arg" == "--no-ubsan" ]] && run_ubsan=0
 done
 
 echo "=== tier-1: Release build + ctest ==="
@@ -110,7 +114,8 @@ if [[ "$run_asan" == 1 ]]; then
              trainer_ckpt_test workspace_test graph_context_test \
              alloc_regression_test backoff_test overload_test \
              shards_test web_scale_test sharded_checkpoint_test \
-             interactions_test topk_engine_test recommender_test >/dev/null
+             interactions_test topk_engine_test recommender_test \
+             autograd_test parallel_executor_test >/dev/null
   # overload_test under ASan covers the fail-point-injected flush stalls and
   # failures (expired-promise and degraded-batch memory handling).
   # shards_test/sharded_checkpoint_test replay the bit-flip and truncation
@@ -119,8 +124,18 @@ if [[ "$run_asan" == 1 ]]; then
   # topk_engine_test/recommender_test run the packed item panels and the
   # per-task score tiles under ASan: ragged last panels, one-row groups and
   # whole-panel seen lists are where an out-of-bounds index would hide.
+  # autograd_test/parallel_executor_test cover the seeded backward and the
+  # shared-forward super-step: per-slot leaves and the forward's arena
+  # outlive step graphs, so a stale buffer or slot would show here.
   ctest --test-dir build-asan --output-on-failure \
-    -R 'failpoint_test|checkpoint_test|io_corruption_test|io_test|trainer_ckpt_test|workspace_test|graph_context_test|alloc_regression_test|backoff_test|overload_test|shards_test|web_scale_test|sharded_checkpoint_test|interactions_test|topk_engine_test|recommender_test'
+    -R 'failpoint_test|checkpoint_test|io_corruption_test|io_test|trainer_ckpt_test|workspace_test|graph_context_test|alloc_regression_test|backoff_test|overload_test|shards_test|web_scale_test|sharded_checkpoint_test|interactions_test|topk_engine_test|recommender_test|autograd_test|parallel_executor_test'
+fi
+
+if [[ "$run_ubsan" == 1 ]]; then
+  echo "=== UBSan: the whole suite (abort on the first finding) ==="
+  cmake -B build-ubsan -S . -DDAREC_SANITIZE=undefined >/dev/null
+  cmake --build build-ubsan -j "$(nproc)" >/dev/null
+  ctest --test-dir build-ubsan --output-on-failure -j "$(nproc)"
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -20,7 +20,8 @@ class AutoCf final : public GraphBackbone {
 
   std::string name() const override { return "autocf"; }
 
-  /// Forward stashes masked_edges_ for SslLoss — serial training only.
+  /// Forward draws a masked view and stashes masked_edges_ for SslLoss —
+  /// one worker, one Forward per batch slot.
   bool SupportsConcurrentForward() const override { return false; }
 
   tensor::Variable Forward(bool training, core::Rng& rng) override {

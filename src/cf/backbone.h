@@ -74,11 +74,18 @@ class GraphBackbone {
   /// All trainable parameters.
   virtual std::vector<tensor::Variable> Params();
 
-  /// True when Forward()/SslLoss() write no member state, so concurrent
-  /// data-parallel workers (pipeline::ParallelStepExecutor) may call them
-  /// on the same instance. Backbones that stash per-step views in members
-  /// (NCL, AutoCF, DCCF) override to false and are restricted to serial
-  /// training.
+  /// True when the training forward is the same in every batch slot of a
+  /// data-parallel super-step (pipeline::ParallelStepExecutor):
+  ///  * Forward(true, rng) reads no rng and writes no member, so it is a
+  ///    pure function of the parameters;
+  ///  * SslLoss() reads nothing Forward produced except its `nodes`
+  ///    argument, and writes no member.
+  /// The executor then runs Forward once per super-step and every slot's
+  /// losses on that one node matrix, on concurrent workers. Backbones that
+  /// draw a view in Forward (AutoCF) or stash per-step views for SslLoss
+  /// (NCL, DCCF) override to false: each slot runs its own Forward, on one
+  /// worker. backbone_test enforces the contract for every backbone that
+  /// declares it.
   virtual bool SupportsConcurrentForward() const { return true; }
 
   /// Final node embeddings for evaluation (no augmentation, no gradient

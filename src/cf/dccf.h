@@ -25,8 +25,8 @@ class Dccf final : public GraphBackbone {
 
   std::string name() const override { return "dccf"; }
 
-  /// Forward caches local_view_/intent_view_ for SslLoss — serial training
-  /// only.
+  /// Forward caches local_view_/intent_view_ for SslLoss — one worker, one
+  /// Forward per batch slot.
   bool SupportsConcurrentForward() const override { return false; }
 
   tensor::Variable Forward(bool training, core::Rng& rng) override {

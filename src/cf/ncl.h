@@ -24,7 +24,8 @@ class Ncl final : public GraphBackbone {
 
   std::string name() const override { return "ncl"; }
 
-  /// Forward caches layer_outputs_ for SslLoss — serial training only.
+  /// Forward caches layer_outputs_ for SslLoss — one worker, one Forward
+  /// per batch slot.
   bool SupportsConcurrentForward() const override { return false; }
 
   tensor::Variable Forward(bool training, core::Rng& rng) override {

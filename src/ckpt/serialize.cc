@@ -5,6 +5,9 @@
 namespace darec::ckpt {
 
 void ByteWriter::PutRaw(const void* data, size_t size) {
+  // An empty vector or matrix hands over a null pointer; passing it on is
+  // undefined behaviour even for zero bytes.
+  if (size == 0) return;
   buffer_.append(static_cast<const char*>(data), size);
 }
 
@@ -43,6 +46,9 @@ core::Status ByteReader::Need(size_t size) const {
 }
 
 void ByteReader::GetRaw(void* out, size_t size) {
+  // memcpy with a null destination (an empty vector's data()) is undefined
+  // behaviour even for zero bytes.
+  if (size == 0) return;
   std::memcpy(out, data_.data() + pos_, size);
   pos_ += size;
 }

@@ -19,6 +19,7 @@ ParallelStepExecutor::ParallelStepExecutor(cf::GraphBackbone* backbone,
       workers_(workers),
       grad_accum_(grad_accum),
       align_interval_(align_interval),
+      shared_forward_(backbone->SupportsConcurrentForward()),
       pool_(workers) {
   DARE_CHECK(backbone != nullptr);
   DARE_CHECK(optimizer != nullptr);
@@ -41,6 +42,14 @@ ParallelStepExecutor::ParallelStepExecutor(cf::GraphBackbone* backbone,
   }
   slot_states_.resize(grad_accum);
   align_phase_.resize(grad_accum, false);
+  if (shared_forward_) {
+    slot_nodes_.reserve(grad_accum);
+    for (int64_t s = 0; s < grad_accum; ++s) {
+      // Heap leaves (requires_grad), never arena slots: they outlive every
+      // step graph, and their value/gradient capacity is reused.
+      slot_nodes_.emplace_back(tensor::Matrix(), /*requires_grad=*/true);
+    }
+  }
 }
 
 ParallelStepExecutor::SuperStepResult ParallelStepExecutor::Execute(
@@ -69,27 +78,69 @@ ParallelStepExecutor::SuperStepResult ParallelStepExecutor::Execute(
 
   SuperStepResult result;
   result.outcomes.resize(count);
+  // Shared forward: E is computed once, on the calling thread (its kernels
+  // use the global pool), into the executor's own arena. The rng it is
+  // handed is one no slot draws from; backbones with this property read
+  // none.
+  tensor::GraphContext::Scope forward_scope(&forward_context_);
+  Variable nodes;
+  if (shared_forward_) nodes = backbone_->Forward(/*training=*/true, forward_rng_);
+
   // Slots share only read-only structures; each writes its own outcome,
-  // sink, rng, and state slot. Grain 1 so every slot can run on its own
-  // worker. With workers > 1 the tensor kernels inside a slot run inline on
-  // that worker (nested-ParallelFor rule); with workers == 1 they use the
-  // global pool — bitwise identical either way by the kernels' thread-count
-  // invariance. Worker exceptions rethrow here.
+  // sink, rng, leaf, and state slot. Grain 1 so every slot can run on its
+  // own worker. With workers > 1 the tensor kernels inside a slot run
+  // inline on that worker (nested-ParallelFor rule); with workers == 1 they
+  // use the global pool — bitwise identical either way by the kernels'
+  // thread-count invariance. Worker exceptions rethrow here.
   pool_.ParallelFor(0, count, 1, [&](int64_t b, int64_t e) {
     for (int64_t s = b; s < e; ++s) {
-      result.outcomes[s] = steps_[s]->ExecuteAccumulate(
-          group[s], slot_rngs_[s], align_phase_[s], sinks_[s].get(),
+      if (!shared_forward_) {
+        result.outcomes[s] = steps_[s]->ExecuteAccumulate(
+            group[s], slot_rngs_[s], align_phase_[s], sinks_[s].get(),
+            &slot_states_[s]);
+        continue;
+      }
+      Variable& leaf = slot_nodes_[s];
+      leaf.mutable_value().CopyFrom(nodes.value());
+      leaf.ClearGrad();
+      result.outcomes[s] = steps_[s]->ExecuteAccumulateOnNodes(
+          leaf, group[s], slot_rngs_[s], align_phase_[s], sinks_[s].get(),
           &slot_states_[s]);
     }
   });
 
-  for (int64_t s = 0; s < count; ++s) {
-    if (!result.outcomes[s].finite) {
-      // Non-finite loss: the serial counter would stop at this slot. No
-      // reduction, no Adam — the super-step is abandoned wholesale.
-      result.steps_advanced = s;
-      return result;
+  // The first non-finite loss, if any: the serial counter would stop at
+  // that slot.
+  int64_t first_bad = count;
+  for (int64_t s = 0; s < count && first_bad == count; ++s) {
+    if (!result.outcomes[s].finite) first_bad = s;
+  }
+
+  if (shared_forward_ && first_bad == count) {
+    // (1/K) Σ_s J_Eᵀ g_s = (1/K) J_Eᵀ Σ_s g_s: sum the slots' dL/dE in
+    // ascending slot order, then back-propagate the sum through the
+    // propagation once. Its parameter gradients land first; the sinks
+    // drain after them below.
+    for (int64_t s = 0; s < count; ++s) {
+      const tensor::Matrix& g = slot_nodes_[s].grad();
+      if (g.empty()) continue;
+      if (node_grad_sum_.empty()) {
+        node_grad_sum_.CopyFrom(g);
+      } else {
+        node_grad_sum_.AddInPlace(g);
+      }
     }
+    if (!node_grad_sum_.empty()) Backward(nodes, node_grad_sum_);
+    node_grad_sum_.ClearKeepCapacity();
+  }
+  nodes = Variable();
+  forward_context_.Reset();
+
+  if (first_bad < count) {
+    // No backward through the propagation, no reduction, no Adam — the
+    // super-step is abandoned wholesale.
+    result.steps_advanced = first_bad;
+    return result;
   }
 
   // Fixed-order reduction: per parameter, ascending slot index — the exact

@@ -69,7 +69,6 @@ bool TrainStep::GradientsFinite(const std::vector<Variable>& params) {
 
 TrainStep::Outcome TrainStep::Execute(const std::vector<data::TrainTriple>& batch,
                                       core::Rng& rng) {
-  if (!graph_context_enabled_) return ExecuteImpl(batch, rng);
   tensor::GraphContext::Scope scope(&graph_context_);
   Outcome outcome = ExecuteImpl(batch, rng);
   // ExecuteImpl's Variables are out of scope here, so the arena can rewind:
@@ -83,29 +82,40 @@ TrainStep::Outcome TrainStep::ExecuteAccumulate(
     const std::vector<data::TrainTriple>& batch, core::Rng& rng,
     bool align_phase, tensor::GradSink* sink,
     std::vector<tensor::Matrix>* align_state) {
-  if (!graph_context_enabled_) {
-    return AccumulateImpl(batch, rng, align_phase, sink, align_state);
-  }
-  tensor::GraphContext::Scope scope(&graph_context_);
-  Outcome outcome = AccumulateImpl(batch, rng, align_phase, sink, align_state);
-  graph_context_.Reset();
-  return outcome;
+  return Accumulate(Variable(), batch, rng, align_phase, sink, align_state);
 }
 
-TrainStep::Outcome TrainStep::AccumulateImpl(
-    const std::vector<data::TrainTriple>& batch, core::Rng& rng,
-    bool align_phase, tensor::GradSink* sink,
+TrainStep::Outcome TrainStep::ExecuteAccumulateOnNodes(
+    const Variable& nodes, const std::vector<data::TrainTriple>& batch,
+    core::Rng& rng, bool align_phase, tensor::GradSink* sink,
     std::vector<tensor::Matrix>* align_state) {
+  DARE_CHECK(!nodes.IsNull() && nodes.requires_grad())
+      << "shared-forward slots need a gradient leaf holding E";
+  return Accumulate(nodes, batch, rng, align_phase, sink, align_state);
+}
+
+TrainStep::Outcome TrainStep::Accumulate(
+    const Variable& shared_nodes, const std::vector<data::TrainTriple>& batch,
+    core::Rng& rng, bool align_phase, tensor::GradSink* sink,
+    std::vector<tensor::Matrix>* align_state) {
+  tensor::GraphContext::Scope scope(&graph_context_);
   Outcome outcome;
-  Variable loss = BuildLoss(batch, rng, align_phase, align_state, &outcome);
-  if (!std::isfinite(outcome.loss)) return outcome;
   {
-    // Backward is the only place parameter gradients accumulate, so scoping
-    // the sink here diverts exactly them.
-    tensor::GradSink::Scope sink_scope(sink);
-    Backward(loss);
+    Variable nodes = shared_nodes.IsNull()
+                         ? backbone_->Forward(/*training=*/true, rng)
+                         : shared_nodes;
+    Variable loss =
+        BuildLoss(nodes, batch, rng, align_phase, align_state, &outcome);
+    if (std::isfinite(outcome.loss)) {
+      // Backward is the only place parameter gradients accumulate, so
+      // scoping the sink here diverts exactly them.
+      tensor::GradSink::Scope sink_scope(sink);
+      Backward(loss);
+      outcome.finite = true;
+    }
   }
-  outcome.finite = true;
+  // The step's Variables are out of scope: rewind the arena.
+  graph_context_.Reset();
   return outcome;
 }
 
@@ -113,7 +123,8 @@ TrainStep::Outcome TrainStep::ExecuteImpl(
     const std::vector<data::TrainTriple>& batch, core::Rng& rng) {
   Outcome outcome;
   optimizer_->ZeroGrad();
-  Variable loss = BuildLoss(batch, rng, step_count_ % align_interval_ == 0,
+  Variable nodes = backbone_->Forward(/*training=*/true, rng);
+  Variable loss = BuildLoss(nodes, batch, rng, step_count_ % align_interval_ == 0,
                             /*align_state=*/nullptr, &outcome);
   // Divergence guard: abort before the poisoned update is applied; the loop
   // above decides whether to roll back to a checkpoint.
@@ -127,13 +138,13 @@ TrainStep::Outcome TrainStep::ExecuteImpl(
   return outcome;
 }
 
-Variable TrainStep::BuildLoss(const std::vector<data::TrainTriple>& batch,
+Variable TrainStep::BuildLoss(const Variable& nodes,
+                              const std::vector<data::TrainTriple>& batch,
                               core::Rng& rng, bool align_phase,
                               std::vector<tensor::Matrix>* align_state,
                               Outcome* outcome) {
   const cf::BackboneOptions& bopt = backbone_->options();
 
-  Variable nodes = backbone_->Forward(/*training=*/true, rng);
   Variable scored = aligner_ != nullptr ? aligner_->AugmentNodes(nodes) : nodes;
 
   BatchNodes ids = ToNodeIds(batch, backbone_->graph());

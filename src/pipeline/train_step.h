@@ -26,10 +26,8 @@ namespace darec::pipeline {
 /// (DESIGN.md §10): node objects live in a reset-don't-free arena and value
 /// buffers come from the global Workspace, so steady-state steps perform no
 /// tensor heap allocations. The context is private to this TrainStep, which
-/// is what lets future parallel-epoch trainers run one TrainStep per thread
-/// over a shared (thread-safe) Workspace. set_graph_context_enabled(false)
-/// falls back to the legacy allocate-per-op path (identical numerics; used
-/// by the allocation-regression test and bench to compare the two).
+/// is what lets the data-parallel executor run one TrainStep per batch slot
+/// over a shared (thread-safe) Workspace.
 class TrainStep {
  public:
   /// All pointers are non-owning; aligner may be null (plain baseline).
@@ -70,6 +68,20 @@ class TrainStep {
                             tensor::GradSink* sink,
                             std::vector<tensor::Matrix>* align_state);
 
+  /// ExecuteAccumulate for a super-step that shares one forward: the losses
+  /// run on `nodes` — a gradient leaf holding the propagated node matrix E
+  /// the executor computed once — instead of on a fresh Forward. Parameter
+  /// gradients that bypass E (the L2 term on E0, SSL views propagated from
+  /// E0, aligner parameters) land in `sink`; dL/dE accumulates into
+  /// `nodes`' own gradient for the executor to reduce and back-propagate
+  /// through the propagation once. Only for backbones whose
+  /// SupportsConcurrentForward() holds.
+  Outcome ExecuteAccumulateOnNodes(const tensor::Variable& nodes,
+                                   const std::vector<data::TrainTriple>& batch,
+                                   core::Rng& rng, bool align_phase,
+                                   tensor::GradSink* sink,
+                                   std::vector<tensor::Matrix>* align_state);
+
   /// True if every gradient in `params` is finite (empty gradients pass).
   static bool GradientsFinite(const std::vector<tensor::Variable>& params);
 
@@ -77,13 +89,6 @@ class TrainStep {
   /// section so a resumed run keeps the align-interval phase.
   int64_t step_count() const { return step_count_; }
   void set_step_count(int64_t step_count) { step_count_ = step_count; }
-
-  /// Toggles the pooled per-step graph arena (on by default). Numerics are
-  /// identical either way; off restores the legacy allocate-per-op path.
-  void set_graph_context_enabled(bool enabled) {
-    graph_context_enabled_ = enabled;
-  }
-  bool graph_context_enabled() const { return graph_context_enabled_; }
 
   /// Arena counters (slot reuse / evictions) for tests and benchmarks.
   const tensor::GraphContext::Stats& graph_context_stats() const {
@@ -95,15 +100,19 @@ class TrainStep {
   /// scope and resets the arena once the step's Variables are gone.
   Outcome ExecuteImpl(const std::vector<data::TrainTriple>& batch,
                       core::Rng& rng);
-  Outcome AccumulateImpl(const std::vector<data::TrainTriple>& batch,
-                         core::Rng& rng, bool align_phase,
-                         tensor::GradSink* sink,
-                         std::vector<tensor::Matrix>* align_state);
+  /// Both accumulate entry points, inside the graph-context scope; runs
+  /// Forward when `shared_nodes` is null.
+  Outcome Accumulate(const tensor::Variable& shared_nodes,
+                     const std::vector<data::TrainTriple>& batch,
+                     core::Rng& rng, bool align_phase, tensor::GradSink* sink,
+                     std::vector<tensor::Matrix>* align_state);
 
-  /// Forward + loss assembly shared by the serial and data-parallel paths;
-  /// fills the outcome's loss components (including the failpoint-poisoned
-  /// total) and returns the total-loss Variable.
-  tensor::Variable BuildLoss(const std::vector<data::TrainTriple>& batch,
+  /// Loss assembly over the backbone's node embeddings, shared by the
+  /// serial and data-parallel paths; fills the outcome's loss components
+  /// (including the failpoint-poisoned total) and returns the total-loss
+  /// Variable.
+  tensor::Variable BuildLoss(const tensor::Variable& nodes,
+                             const std::vector<data::TrainTriple>& batch,
                              core::Rng& rng, bool align_phase,
                              std::vector<tensor::Matrix>* align_state,
                              Outcome* outcome);
@@ -114,7 +123,6 @@ class TrainStep {
   int64_t align_interval_;
   int64_t step_count_ = 0;
   tensor::GraphContext graph_context_;
-  bool graph_context_enabled_ = true;
 };
 
 }  // namespace darec::pipeline

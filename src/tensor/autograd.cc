@@ -156,6 +156,15 @@ void Backward(const Variable& root) {
   DARE_CHECK(root.rows() == 1 && root.cols() == 1)
       << "Backward root must be a 1x1 scalar, got " << root.rows() << "x"
       << root.cols();
+  static const Matrix kSeedOne = Matrix::Full(1, 1, 1.0f);
+  Backward(root, kSeedOne);
+}
+
+void Backward(const Variable& root, const Matrix& seed) {
+  DARE_CHECK(!root.IsNull());
+  DARE_CHECK(seed.SameShape(root.value()))
+      << "Backward seed shape " << seed.rows() << "x" << seed.cols()
+      << " vs root " << root.rows() << "x" << root.cols();
 
   // Collect all reachable nodes (iterative DFS over parent edges).
   std::vector<std::shared_ptr<Node>> reachable;
@@ -178,8 +187,7 @@ void Backward(const Variable& root) {
               return a->id() > b->id();
             });
 
-  static const Matrix kSeedOne = Matrix::Full(1, 1, 1.0f);
-  root.node()->AccumulateGrad(kSeedOne);
+  root.node()->AccumulateGrad(seed);
   Workspace& ws = Workspace::Global();
   Node* const root_node = root.node().get();
   for (const std::shared_ptr<Node>& node : reachable) {

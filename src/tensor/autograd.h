@@ -314,6 +314,14 @@ class GradSink {
 /// root's value and parameter values are never released.
 void Backward(const Variable& root);
 
+/// Vector-Jacobian product: the same traversal, with `root` of any shape and
+/// its gradient seeded by `seed` (root's shape, CHECKed) instead of 1. For a
+/// constant G, Backward(root, G) accumulates the parameter gradients of
+/// Sum(Mul(root, Constant(G))) bit for bit, without building that graph —
+/// the data-parallel executor back-propagates a super-step's summed dL/dE
+/// through one shared propagation this way.
+void Backward(const Variable& root, const Matrix& seed);
+
 }  // namespace darec::tensor
 
 #endif  // DAREC_TENSOR_AUTOGRAD_H_

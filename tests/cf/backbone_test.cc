@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -101,6 +102,47 @@ TEST_P(BackboneContractTest, SslLossIsFiniteWhenPresent) {
   if (!ssl.IsNull()) {
     EXPECT_TRUE(std::isfinite(ssl.scalar()));
     EXPECT_GE(ssl.scalar(), 0.0f);
+  }
+}
+
+/// The shared-forward contract (GraphBackbone::SupportsConcurrentForward)
+/// the data-parallel executor relies on to run one Forward per super-step:
+/// the training forward reads no rng and is a pure function of the
+/// parameters, and SslLoss reads nothing Forward produced except `nodes`.
+TEST_P(BackboneContractTest, SharedForwardContractHolds) {
+  Fixture& f = SharedFixture();
+  auto backbone = CreateBackbone(GetParam(), f.graph.get(), SmallOptions());
+  ASSERT_TRUE(backbone.ok());
+  if (!(*backbone)->SupportsConcurrentForward()) {
+    GTEST_SKIP() << GetParam() << " runs one Forward per batch slot";
+  }
+  core::Rng rng_a(11);
+  core::Rng rng_b(12);
+  const tensor::Matrix a = (*backbone)->Forward(true, rng_a).value();
+  const tensor::Matrix b = (*backbone)->Forward(true, rng_b).value();
+  ASSERT_TRUE(a.SameShape(b));
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof(float) * a.size()), 0)
+      << "training forward depends on its rng";
+  EXPECT_EQ(rng_a.NextUint64(), core::Rng(11).NextUint64())
+      << "training forward drew from its rng";
+  EXPECT_EQ(rng_b.NextUint64(), core::Rng(12).NextUint64())
+      << "training forward drew from its rng";
+
+  // A twin that never ran Forward computes the same SSL loss from the same
+  // nodes and rng.
+  auto twin = CreateBackbone(GetParam(), f.graph.get(), SmallOptions());
+  ASSERT_TRUE(twin.ok());
+  const tensor::Variable nodes = tensor::Variable::Constant(a);
+  core::Rng ssl_rng(13);
+  core::Rng twin_rng(13);
+  const tensor::Variable ssl = (*backbone)->SslLoss(nodes, ssl_rng);
+  const tensor::Variable twin_ssl = (*twin)->SslLoss(nodes, twin_rng);
+  ASSERT_EQ(ssl.IsNull(), twin_ssl.IsNull());
+  if (!ssl.IsNull()) {
+    const float got = ssl.scalar();
+    const float want = twin_ssl.scalar();
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+        << "SslLoss read state Forward left behind";
   }
 }
 

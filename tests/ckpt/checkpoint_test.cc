@@ -83,6 +83,30 @@ TEST(SerializeTest, WriterReaderRoundTrip) {
   EXPECT_TRUE(r.ExpectEnd().ok());
 }
 
+/// A step-0 checkpoint carries an empty loss history; empty containers
+/// hand the writer and reader null data pointers, which must never reach
+/// memcpy (undefined behaviour even for zero bytes; the UBSan lane traps).
+TEST(SerializeTest, EmptyContainersRoundTrip) {
+  ByteWriter w;
+  w.PutF64Vector({});
+  w.PutI64Vector({});
+  w.PutMatrix(tensor::Matrix());
+  w.PutMatrix(tensor::Matrix(0, 7));
+  w.PutU32(42);
+
+  ByteReader r(w.str());
+  EXPECT_TRUE(r.GetF64Vector().value().empty());
+  EXPECT_TRUE(r.GetI64Vector().value().empty());
+  const tensor::Matrix empty = r.GetMatrix().value();
+  EXPECT_EQ(empty.rows(), 0);
+  EXPECT_EQ(empty.cols(), 0);
+  const tensor::Matrix no_rows = r.GetMatrix().value();
+  EXPECT_EQ(no_rows.rows(), 0);
+  EXPECT_EQ(no_rows.cols(), 7);
+  EXPECT_EQ(r.GetU32().value(), 42u);
+  EXPECT_TRUE(r.ExpectEnd().ok());
+}
+
 TEST(SerializeTest, TruncatedReadsAreTyped) {
   ByteWriter w;
   w.PutU32(5);

@@ -1,5 +1,6 @@
 #include "pipeline/parallel_executor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
@@ -9,6 +10,7 @@
 #include "align/aligner.h"
 #include "core/failpoint.h"
 #include "core/thread_pool.h"
+#include "data/sampler.h"
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
 #include "pipeline/train_loop.h"
@@ -214,6 +216,134 @@ TEST_F(ParallelExecutorTest, ResumeAcrossWorkerCountsMatchesStraightRun) {
   }
   ExpectBitIdentical(resumed.final_embeddings, expected.final_embeddings);
   ASSERT_EQ(resumed.test_metrics.recall, expected.test_metrics.recall);
+}
+
+/// The shared forward is exact in real arithmetic: the super-step's mean
+/// gradient (1/K) Σ_s J_Eᵀ g_s equals (1/K) J_Eᵀ Σ_s g_s. In floats only the
+/// summation order moves, so the executor's reduced gradient must match the
+/// per-slot reference (one full ExecuteAccumulate per slot, drained in slot
+/// order, scaled by 1/K) to within kRelTol of each parameter's largest
+/// gradient entry — and the per-slot losses, which run on the same E, must
+/// match bitwise.
+TEST_F(ParallelExecutorTest, SharedForwardGradientMatchesPerSlotReference) {
+  // Re-association error is a few float ulps of the largest entry;
+  // measured at most 1.5e-7 of it (embedding table; the aligner's
+  // parameters match exactly).
+  constexpr double kRelTol = 1e-5;
+  constexpr int64_t kSlots = 4;
+  for (const std::string backbone : {"lightgcn", "sgl"}) {
+    for (const std::string variant : {"baseline", "darec"}) {
+      SCOPED_TRACE(backbone + "/" + variant);
+      auto experiment = Experiment::Create(TinySpec(backbone, variant));
+      ASSERT_TRUE(experiment.ok());
+      cf::GraphBackbone* net = &(*experiment)->backbone();
+      align::Aligner* aligner = (*experiment)->aligner();
+      std::vector<tensor::Variable> params = net->Params();
+      if (aligner != nullptr) {
+        for (const tensor::Variable& p : aligner->Params()) params.push_back(p);
+      }
+      tensor::Adam adam(params, 1e-3f);
+
+      core::Rng main_rng(7);
+      data::BatchIterator batches((*experiment)->dataset(), 256, main_rng);
+      batches.NewEpoch(main_rng);
+      std::vector<std::vector<data::TrainTriple>> group(kSlots);
+      for (auto& batch : group) ASSERT_TRUE(batches.NextBatch(batch, main_rng));
+
+      // Reference: the per-slot path, from the same slot rngs and states.
+      core::Rng ref_rng = main_rng;
+      std::vector<std::vector<double>> ref_losses(kSlots);
+      std::vector<tensor::Matrix> reference(params.size());
+      for (int64_t s = 0; s < kSlots; ++s) {
+        TrainStep step(net, aligner, &adam, /*align_interval=*/1);
+        tensor::GradSink sink;
+        sink.Register(params);
+        core::Rng slot_rng = ref_rng.Fork();
+        std::vector<tensor::Matrix> state =
+            aligner != nullptr ? aligner->MutableState()
+                               : std::vector<tensor::Matrix>{};
+        const TrainStep::Outcome outcome = step.ExecuteAccumulate(
+            group[s], slot_rng, aligner != nullptr, &sink, &state);
+        ASSERT_TRUE(outcome.finite);
+        ref_losses[s] = {outcome.loss, outcome.bpr_loss, outcome.reg_loss,
+                         outcome.ssl_loss, outcome.align_loss};
+        for (size_t i = 0; i < params.size(); ++i) {
+          const tensor::Matrix& buf = sink.buffer(i);
+          if (buf.empty()) continue;
+          if (reference[i].empty()) {
+            reference[i] = buf;
+          } else {
+            reference[i].AddInPlace(buf);
+          }
+        }
+      }
+      for (tensor::Matrix& r : reference) {
+        if (!r.empty()) r.ScaleInPlace(1.0f / kSlots);
+      }
+
+      ParallelStepExecutor executor(net, aligner, &adam, /*align_interval=*/1,
+                                    /*workers=*/2, kSlots);
+      const ParallelStepExecutor::SuperStepResult result =
+          executor.Execute(group, kSlots, main_rng, /*step_count_before=*/0);
+      ASSERT_TRUE(result.applied);
+      for (int64_t s = 0; s < kSlots; ++s) {
+        const TrainStep::Outcome& o = result.outcomes[s];
+        EXPECT_EQ(std::vector<double>({o.loss, o.bpr_loss, o.reg_loss,
+                                       o.ssl_loss, o.align_loss}),
+                  ref_losses[s])
+            << "slot " << s << " losses differ";
+      }
+      // Adam reads the reduced gradients and leaves them in place.
+      for (size_t i = 0; i < params.size(); ++i) {
+        SCOPED_TRACE("param " + std::to_string(i));
+        const tensor::Matrix& got = params[i].grad();
+        ASSERT_EQ(got.empty(), reference[i].empty());
+        if (got.empty()) continue;
+        ASSERT_TRUE(got.SameShape(reference[i]));
+        double scale = 0.0;
+        double worst = 0.0;
+        for (int64_t k = 0; k < got.size(); ++k) {
+          const double want = reference[i].data()[k];
+          scale = std::max(scale, std::abs(want));
+          worst = std::max(worst, std::abs(got.data()[k] - want));
+        }
+        ASSERT_GT(scale, 0.0);
+        EXPECT_LE(worst, kRelTol * scale)
+            << "max deviation " << worst / scale << " of the largest entry";
+      }
+    }
+  }
+}
+
+/// Backbones that draw a view in Forward or stash per-step views for
+/// SslLoss (AutoCF, DCCF) keep one Forward and one full backward per slot.
+/// That path trains deterministically at workers=1 and really groups the
+/// batches.
+TEST_F(ParallelExecutorTest, PerSlotPathTrainsStatefulBackbones) {
+  for (const std::string backbone : {"autocf", "dccf"}) {
+    SCOPED_TRACE(backbone);
+    ExperimentSpec spec = TinySpec(backbone, "darec");
+    spec.train_options.epochs = 2;
+    spec.train_options.workers = 1;
+    spec.train_options.grad_accum = 4;
+    auto first = Experiment::Create(spec);
+    ASSERT_TRUE(first.ok());
+    ASSERT_FALSE((*first)->backbone().SupportsConcurrentForward());
+    const TrainResult a = (*first)->Run();
+    auto second = Experiment::Create(spec);
+    ASSERT_TRUE(second.ok());
+    const TrainResult b = (*second)->Run();
+
+    ASSERT_EQ(a.epoch_losses.size(), 2u);
+    ASSERT_EQ(a.epoch_losses, b.epoch_losses);
+    for (double loss : a.epoch_losses) EXPECT_TRUE(std::isfinite(loss));
+    ExpectBitIdentical(a.final_embeddings, b.final_embeddings);
+
+    spec.train_options.grad_accum = 1;
+    auto serial = Experiment::Create(spec);
+    ASSERT_TRUE(serial.ok());
+    EXPECT_NE((*serial)->Run().epoch_losses.back(), a.epoch_losses.back());
+  }
 }
 
 /// Backbones that cache per-step state inside Forward (NCL's layer outputs)

@@ -1,6 +1,8 @@
 #include "tensor/autograd.h"
 
+#include <cstring>
 #include <memory>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "tensor/csr.h"
@@ -29,6 +31,44 @@ Matrix SmoothInput(int64_t rows, int64_t cols, float offset = 0.0f) {
 TEST(AutogradTest, BackwardRequiresScalarRoot) {
   Variable v = Variable::Parameter(SmoothInput(2, 2));
   EXPECT_DEATH(Backward(v), "scalar");
+}
+
+/// Backward(root, G) is the vector-Jacobian product of the graph under a
+/// non-scalar root: the parameter gradients are those of the scalar
+/// Sum(Mul(root, Constant(G))), whose gradient at root is exactly 1·G, bit
+/// for bit — negative zeros included.
+TEST(AutogradTest, SeededBackwardMatchesSumOfProductBitwise) {
+  const Matrix x0 = SmoothInput(5, 4);
+  const Matrix w0 = SmoothInput(4, 4, -0.4f);
+  Matrix seed = SmoothInput(5, 4, -0.9f);
+  seed(0, 0) = -0.0f;
+  seed(4, 3) = 0.0f;
+  auto root_of = [](const Variable& x, const Variable& w) {
+    Variable h = MatMul(x, w);
+    return MeanOf({x, h, Tanh(Mul(h, x))});
+  };
+
+  Variable x_seeded = Variable::Parameter(x0);
+  Variable w_seeded = Variable::Parameter(w0);
+  Backward(root_of(x_seeded, w_seeded), seed);
+
+  Variable x_scalar = Variable::Parameter(x0);
+  Variable w_scalar = Variable::Parameter(w0);
+  Backward(Sum(Mul(root_of(x_scalar, w_scalar), Variable::Constant(seed))));
+
+  for (const auto& [got, want] :
+       {std::pair{&x_seeded, &x_scalar}, std::pair{&w_seeded, &w_scalar}}) {
+    ASSERT_TRUE(got->grad().SameShape(want->grad()));
+    EXPECT_EQ(std::memcmp(got->grad().data(), want->grad().data(),
+                          sizeof(float) * got->grad().size()),
+              0);
+  }
+}
+
+TEST(AutogradTest, SeededBackwardRejectsSeedOfWrongShape) {
+  Variable x = Variable::Parameter(SmoothInput(3, 2));
+  Variable root = ScalarMul(x, 2.0f);
+  EXPECT_DEATH(Backward(root, Matrix(2, 3)), "seed shape");
 }
 
 TEST(AutogradTest, SimpleChainGradient) {
