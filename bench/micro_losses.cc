@@ -10,13 +10,17 @@
 // pooled), written as BENCH_autograd.json. This is the before/after
 // evidence for DESIGN.md §10.
 //
-// `micro_losses --fusion_json[=PATH]` profiles expression fusion (DESIGN.md
-// §14): forward+backward wall time per step for each recorded loss chain
-// with fusion on vs replayed eagerly, written as BENCH_fusion.json. Every
-// scenario is parity-gated — the run aborts if the fused loss value is not
-// bitwise equal to the replayed one.
+// `micro_losses --fusion_json[=PATH]` profiles the fused loss ops (DESIGN.md
+// §14): forward+backward wall time per step of each fused op against its
+// eager composition (tests/tensor/fused_op_cases.h), at the shapes the
+// library's default call sites run plus larger ones, written as
+// BENCH_fusion.json. Every row is parity-gated — the run aborts unless the
+// fused loss value and input gradients are bitwise equal to the eager ones.
+//
+// Both JSON modes open with the shared bench/run_header header.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,13 +36,16 @@
 #include "tensor/alloc_stats.h"
 #include "tensor/autograd.h"
 #include "tensor/csr.h"
-#include "tensor/expr.h"
+#include "tensor/fused_op_cases.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
+#include "run_header.h"
 
 namespace {
 
 using namespace darec;
+using testing::FusedOpCase;
+using testing::FusedOpCases;
 using tensor::Matrix;
 using tensor::Variable;
 
@@ -361,6 +368,7 @@ int RunAllocProfile(const std::string& out_path) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_losses --alloc_json\",\n");
+  std::fprintf(f, "  \"header\": %s,\n", darec::bench::RunHeaderJson().c_str());
   std::fprintf(f,
                "  \"note\": \"steady-state Matrix heap allocations per "
                "forward+backward, graph arena + workspace pool (pooled) vs "
@@ -402,133 +410,101 @@ int RunAllocProfile(const std::string& out_path) {
 }
 
 // ---------------------------------------------------------------------------
-// Fusion profile (--fusion_json): fused vs replayed loss chains, parity-gated.
+// Fusion profile (--fusion_json): each fused op vs its eager composition,
+// parity-gated.
 // ---------------------------------------------------------------------------
 
-struct FusionRow {
-  std::string name;
-  int64_t steps = 0;
-  double fused_ms = 0.0, eager_ms = 0.0;
-  int64_t fused_ops = 0;  // fused-traversal nodes per step (arena telemetry)
+/// One timed shape of a fused op; `call_site` names the default call site
+/// that runs the op at this shape (null for a larger probe shape).
+struct FusionShape {
+  const char* op;  // A FusedOpCases() name.
+  int64_t rows, cols;
+  const char* call_site;
 };
 
-uint32_t FloatBits(float value) {
-  uint32_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
+constexpr FusionShape kFusionShapes[] = {
+    {"row_dot", 1024, 32, "BPR scores (batch 1024, dim 32)"},
+    {"row_dot", 4096, 64, nullptr},
+    {"cosine_rows", 512, 32, "orthogonality (N=512, projection 32)"},
+    {"cosine_rows", 4096, 64, nullptr},
+    {"square_mean", 512, 1, "orthogonality's mean of squared cosines"},
+    {"square_mean_bias", 4, 1, "local term's diagonal (k=4)"},
+    {"exp_affine_sum", 256, 256, "uniformity (sample 256)"},
+    {"exp_affine_sum", 1024, 1024, nullptr},
+    {"mul_sub_sum", 512, 512, "softmax global term (N=512)"},
+    {"mul_sub_sum", 1024, 1024, nullptr},
+    {"sub_sum_squares", 512, 512, "Frobenius global term (tau=0, N=512)"},
+    {"sub_sum_squares", 1024, 1024, nullptr},
+    {"mse", 2048, 2048, nullptr},
+};
 
-/// Times `step` (forward+backward over captive parameters, returning the
-/// loss value) with fusion on and with every chain replayed eagerly, inside
-/// the same pooled per-step arena both ways. Aborts on value divergence.
-template <typename StepFn>
-FusionRow ProfileFusion(const std::string& name, StepFn step, int steps = 40) {
+struct FusionRow {
+  FusionShape shape;
+  int64_t steps = 0;
+  double fused_us = 0.0, eager_us = 0.0;  // Median per step.
+};
+
+/// Times forward+backward of the fused op and of its eager composition in
+/// alternating blocks inside one pooled per-step arena, as training runs
+/// them. Aborts unless both give the same loss and gradient bits.
+FusionRow ProfileFusion(const FusedOpCase& c, const FusionShape& shape,
+                        int blocks = 7) {
   FusionRow row;
-  row.name = name;
-  row.steps = steps;
-  tensor::GraphContext ctx;
-  auto run = [&] {
-    tensor::GraphContext::Scope scope(&ctx);
-    const float value = step();
-    ctx.Reset();
-    return value;
-  };
-  float fused_value = 0.0f;
-  for (bool fused : {true, false}) {
-    tensor::expr::SetFusionForTest(fused);
-    const int64_t ops_before = ctx.stats().fused_ops;
-    const float warm = run();  // Warm-up fills arena slots + recorder storage.
-    if (fused) {
-      fused_value = warm;
-      row.fused_ops = ctx.stats().fused_ops - ops_before;
-    } else {
-      DARE_CHECK(FloatBits(warm) == FloatBits(fused_value))
-          << name << ": fused loss " << fused_value
-          << " != replayed loss " << warm;
-      DARE_CHECK(ctx.stats().fused_ops == ops_before)
-          << name << ": replay executed fused traversals";
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < steps; ++i) run();
-    (fused ? row.fused_ms : row.eager_ms) = MsSince(t0);
+  row.shape = shape;
+  // About 2^22 input elements per timed block, 10 to 20000 steps.
+  const int64_t elems = shape.rows * shape.cols * c.num_inputs;
+  row.steps = std::clamp<int64_t>((int64_t{1} << 22) / elems, 10, 20000);
+  std::vector<Variable> inputs;
+  for (int i = 0; i < c.num_inputs; ++i) {
+    inputs.push_back(Variable::Parameter(
+        RandomMatrix(shape.rows, shape.cols, 60 + static_cast<uint64_t>(i))));
   }
-  tensor::expr::SetFusionForTest(true);
+  tensor::GraphContext ctx;
+  // The warm-up steps fill arena slots and pooled buffers, and gate parity.
+  DARE_CHECK(testing::StepBits(c.fused, inputs, &ctx) ==
+             testing::StepBits(c.eager, inputs, &ctx))
+      << c.name << " " << shape.rows << "x" << shape.cols
+      << ": fused op is not bitwise equal to its eager composition";
+  std::vector<double> fused_us, eager_us;
+  for (int b = 0; b < blocks; ++b) {
+    for (bool fused : {true, false}) {
+      const FusedOpCase::Build& build = fused ? c.fused : c.eager;
+      auto t0 = std::chrono::steady_clock::now();
+      for (int64_t i = 0; i < row.steps; ++i) {
+        for (Variable& in : inputs) in.ClearGrad();
+        {
+          tensor::GraphContext::Scope scope(&ctx);
+          Backward(build(inputs));
+        }
+        ctx.Reset();
+      }
+      (fused ? fused_us : eager_us).push_back(1e3 * MsSince(t0) / row.steps);
+    }
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  row.fused_us = median(fused_us);
+  row.eager_us = median(eager_us);
   return row;
 }
 
 int RunFusionProfile(const std::string& out_path) {
+  const std::vector<FusedOpCase> cases = FusedOpCases();
   std::vector<FusionRow> rows;
-  for (int64_t n : {256, 1024}) {
-    const std::string suffix = "_" + std::to_string(n);
-    {
-      Variable a = Variable::Parameter(RandomMatrix(n, 32, 41));
-      Variable b = Variable::Parameter(RandomMatrix(n, 32, 42));
-      rows.push_back(ProfileFusion("orthogonality" + suffix, [&] {
-        a.ClearGrad();
-        b.ClearGrad();
-        Variable loss = model::OrthogonalityLoss(a, b);
-        Backward(loss);
-        return loss.scalar();
-      }));
-    }
-    {
-      Variable a = Variable::Parameter(RandomMatrix(n, 32, 43));
-      rows.push_back(ProfileFusion("uniformity" + suffix, [&] {
-        a.ClearGrad();
-        Variable loss = model::UniformityLoss(a);
-        Backward(loss);
-        return loss.scalar();
-      }));
-    }
-    {
-      Variable a = Variable::Parameter(RandomMatrix(n, 32, 44));
-      Variable b = Variable::Parameter(RandomMatrix(n, 32, 45));
-      rows.push_back(ProfileFusion("global_structure" + suffix, [&] {
-        a.ClearGrad();
-        b.ClearGrad();
-        Variable loss = model::GlobalStructureLoss(a, b);
-        Backward(loss);
-        return loss.scalar();
-      }));
-    }
-    {
-      // MseLoss on square matrices: the reconstruction objective (RLMRec-gen)
-      // with the matmul share at zero — the pure chain-fusion effect.
-      Variable a = Variable::Parameter(RandomMatrix(n, n, 46));
-      Variable b = Variable::Parameter(RandomMatrix(n, n, 47));
-      rows.push_back(ProfileFusion("mse" + suffix, [&] {
-        a.ClearGrad();
-        b.ClearGrad();
-        Variable loss = tensor::MseLoss(a, b);
-        Backward(loss);
-        return loss.scalar();
-      }));
-    }
-  }
-  {
-    // Out-of-cache preset: at 2048x2048 (16 MiB per operand) every pass over
-    // the matrices hits DRAM, so the traversals fusion removes are the
-    // dominant cost.
-    Variable a = Variable::Parameter(RandomMatrix(2048, 2048, 50));
-    Variable b = Variable::Parameter(RandomMatrix(2048, 2048, 51));
-    rows.push_back(ProfileFusion("mse_2048", [&] {
-      a.ClearGrad();
-      b.ClearGrad();
-      Variable loss = tensor::MseLoss(a, b);
-      Backward(loss);
-      return loss.scalar();
-    }, /*steps=*/20));
-  }
-  {
-    Variable a = Variable::Parameter(RandomMatrix(256, 32, 48));
-    Variable b = Variable::Parameter(RandomMatrix(256, 32, 49));
-    rows.push_back(ProfileFusion("global_structure_softmax_256", [&] {
-      a.ClearGrad();
-      b.ClearGrad();
-      Variable loss = model::GlobalStructureLossSoftmax(a, b, 0.5f);
-      Backward(loss);
-      return loss.scalar();
-    }));
+  for (const FusionShape& shape : kFusionShapes) {
+    auto it = std::find_if(cases.begin(), cases.end(),
+                           [&](const FusedOpCase& c) {
+                             return std::strcmp(c.name, shape.op) == 0;
+                           });
+    DARE_CHECK(it != cases.end()) << "no fused op case " << shape.op;
+    rows.push_back(ProfileFusion(*it, shape));
+    const FusionRow& r = rows.back();
+    std::printf("%-17s %5lldx%-5lld fused %10.3f us  eager %10.3f us  %.2fx\n",
+                shape.op, static_cast<long long>(shape.rows),
+                static_cast<long long>(shape.cols), r.fused_us, r.eager_us,
+                r.eager_us / r.fused_us);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -537,26 +513,31 @@ int RunFusionProfile(const std::string& out_path) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_losses --fusion_json\",\n");
+  std::fprintf(f, "  \"header\": %s,\n", darec::bench::RunHeaderJson().c_str());
   std::fprintf(f,
-               "  \"note\": \"forward+backward wall time per step, recorded "
-               "loss chains fused (DAREC_FUSION=on) vs replayed eagerly; "
-               "fused loss values are bitwise equal to replayed ones "
-               "(DARE_CHECK-gated), so speedup is the only delta\",\n");
+               "  \"note\": \"forward+backward wall time per step of each "
+               "fused loss op vs its eager composition "
+               "(tests/tensor/fused_op_cases.h), inside a pooled graph "
+               "context; median of 7 alternating blocks; loss values and "
+               "input gradients are bitwise equal (DARE_CHECK-gated), so "
+               "speedup is the only delta; call_site names the default "
+               "call site that runs the shape\",\n");
   std::fprintf(f, "  \"scenarios\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const FusionRow& r = rows[i];
-    const double n = static_cast<double>(r.steps);
-    const double speedup = r.fused_ms > 0.0 ? r.eager_ms / r.fused_ms : 0.0;
+    std::string call_site = "null";
+    if (r.shape.call_site != nullptr) {
+      call_site = std::string("\"") + r.shape.call_site + "\"";
+    }
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"iterations\": %lld, "
-                 "\"fused_ops_per_step\": %lld,\n"
-                 "     \"fused_ms_per_step\": %.4f, \"eager_ms_per_step\": "
-                 "%.4f, \"speedup\": %.2f}%s\n",
-                 r.name.c_str(), static_cast<long long>(r.steps),
-                 static_cast<long long>(r.fused_ops), r.fused_ms / n,
-                 r.eager_ms / n, speedup, i + 1 < rows.size() ? "," : "");
-    std::printf("%-28s fused %8.4f ms  eager %8.4f ms  %.2fx\n",
-                r.name.c_str(), r.fused_ms / n, r.eager_ms / n, speedup);
+                 "    {\"op\": \"%s\", \"rows\": %lld, \"cols\": %lld, "
+                 "\"call_site\": %s,\n"
+                 "     \"steps_per_block\": %lld, \"fused_us_per_step\": %.3f, "
+                 "\"eager_us_per_step\": %.3f, \"speedup\": %.2f}%s\n",
+                 r.shape.op, static_cast<long long>(r.shape.rows),
+                 static_cast<long long>(r.shape.cols), call_site.c_str(),
+                 static_cast<long long>(r.steps), r.fused_us, r.eager_us,
+                 r.eager_us / r.fused_us, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -11,9 +11,9 @@
 # (multi-producer microbatch queue with mid-flight snapshot swaps, bounded
 # admission + degradation ladder + request deadlines). A forced
 # DAREC_SIMD=scalar ctest lane and train_bench/serve_bench smokes guard the
-# runtime-dispatched SIMD kernels; a DAREC_FUSION=off lane
-# and a parity-gated fusion bench smoke guard expression fusion (both
-# evaluation paths must stay bitwise identical). A data_bench smoke
+# runtime-dispatched SIMD kernels; a parity-gated bench smoke times each
+# fused loss op against its eager composition (fused_ops_test holds them
+# bitwise equal in tier-1 and under ASan). A data_bench smoke
 # generates a multi-shard web_scale catalog and gates the streamed
 # (memory-mapped) data path bitwise against the resident one. An
 # UndefinedBehaviorSanitizer pass runs the whole suite and aborts on the
@@ -45,7 +45,7 @@ echo "=== smoke: autograd memory profile (steady-state allocations) ==="
 cmake --build build -j "$(nproc)" --target micro_losses >/dev/null
 ./build/bench/micro_losses --alloc_json=build/BENCH_autograd_smoke.json
 
-echo "=== smoke: fused loss chains (fused vs eager, bitwise parity gates) ==="
+echo "=== smoke: fused loss ops (each vs its eager composition, bitwise parity gates) ==="
 ./build/bench/micro_losses --fusion_json=build/BENCH_fusion_smoke.json
 
 echo "=== smoke: train bench (workers x SIMD sweep, bitwise parity gates) ==="
@@ -79,12 +79,6 @@ echo "=== ctest under DAREC_SIMD=scalar (forced lowest kernel tier) ==="
 DAREC_SIMD=scalar ctest --test-dir build --output-on-failure \
   -R 'matrix_test|ops_property_test|cpu_features_test|golden_trace_test|parallel_executor_test|topk_engine_test|recommender_test|metrics_test|server_test'
 
-echo "=== ctest under DAREC_FUSION=off (every recorded chain replayed) ==="
-# The replay path must carry the same golden traces, property contracts, and
-# steady-state allocation budget as the fused default.
-DAREC_FUSION=off ctest --test-dir build --output-on-failure \
-  -R 'expr_test|ops_property_test|losses_test|golden_trace_test|alloc_regression_test'
-
 echo "=== smoke: bench resume (kill table3_main mid-sweep, rerun resume=1) ==="
 cmake --build build -j "$(nproc)" --target table3_main >/dev/null
 smoke_args=(datasets=tiny backbones=lightgcn epochs=60 checkpoint_every=1)
@@ -115,7 +109,7 @@ if [[ "$run_asan" == 1 ]]; then
              alloc_regression_test backoff_test overload_test \
              shards_test web_scale_test sharded_checkpoint_test \
              interactions_test topk_engine_test recommender_test \
-             autograd_test parallel_executor_test >/dev/null
+             autograd_test parallel_executor_test fused_ops_test >/dev/null
   # overload_test under ASan covers the fail-point-injected flush stalls and
   # failures (expired-promise and degraded-batch memory handling).
   # shards_test/sharded_checkpoint_test replay the bit-flip and truncation
@@ -127,8 +121,10 @@ if [[ "$run_asan" == 1 ]]; then
   # autograd_test/parallel_executor_test cover the seeded backward and the
   # shared-forward super-step: per-slot leaves and the forward's arena
   # outlive step graphs, so a stale buffer or slot would show here.
+  # fused_ops_test: the fused backward passes read scratch stashed at
+  # forward time (row norms, exp outputs), inside and outside the arena.
   ctest --test-dir build-asan --output-on-failure \
-    -R 'failpoint_test|checkpoint_test|io_corruption_test|io_test|trainer_ckpt_test|workspace_test|graph_context_test|alloc_regression_test|backoff_test|overload_test|shards_test|web_scale_test|sharded_checkpoint_test|interactions_test|topk_engine_test|recommender_test|autograd_test|parallel_executor_test'
+    -R 'failpoint_test|checkpoint_test|io_corruption_test|io_test|trainer_ckpt_test|workspace_test|graph_context_test|alloc_regression_test|backoff_test|overload_test|shards_test|web_scale_test|sharded_checkpoint_test|interactions_test|topk_engine_test|recommender_test|autograd_test|parallel_executor_test|fused_ops_test'
 fi
 
 if [[ "$run_ubsan" == 1 ]]; then

@@ -2,29 +2,23 @@
 
 #include <algorithm>
 
-#include "tensor/expr.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
 
 namespace darec::model {
 
-namespace ex = tensor::expr;
-
 using tensor::Variable;
 
-// The elementwise/reduction chains below are recorded through tensor/expr
-// and evaluated in one shot: with DAREC_FUSION=on each chain collapses into
-// one or two fused traversals; with fusion off the recording replays the
-// original eager op sequence. Both paths are bitwise identical (see
-// DESIGN.md §14). MatMul / softmax / clustering stages stay eager — they are
-// not elementwise chains.
+// The elementwise/reduction chains below run as fused ops: one traversal
+// and one graph node each, bitwise equal to the eager composition named
+// beside it (DESIGN.md §14). MatMul / softmax / clustering stages stay
+// eager — they are not elementwise chains.
 
 Variable OrthogonalityLoss(const Variable& specific, const Variable& shared) {
-  // Mean(Square(CosineRowSimilarity(specific, shared))).
-  return ex::Eval(ex::Mean(ex::Square(
-      ex::RowSum(ex::Mul(ex::RowL2Normalize(ex::In(specific)),
-                         ex::RowL2Normalize(ex::In(shared)))))));
+  // ≡ Mean(Square(CosineRowSimilarity(specific, shared))).
+  return tensor::FusedSquareMean(tensor::CosineRowSimilarity(specific, shared),
+                                 /*has_bias=*/false, 0.0f);
 }
 
 Variable UniformityLoss(const Variable& specific) {
@@ -33,13 +27,12 @@ Variable UniformityLoss(const Variable& specific) {
   Variable normalized = tensor::RowL2Normalize(specific);
   Variable sims = tensor::MatMul(normalized, normalized, false, true);
   // ||x - y||² = 2 - 2 x·y on the unit sphere; the Gaussian-kernel sum
-  // Sum(Exp(-2 · (2 - 2·sims))) fuses into a single traversal of `sims`.
+  // Sum(Exp(-2 · (2 - 2·sims))) is a single traversal of `sims`.
   // The n self-pairs (each exp(0) = 1 exactly) are excluded from the mean.
-  ex::Expr kernel_sum = ex::Sum(ex::Exp(ex::ScalarMul(
-      ex::AddScalar(ex::ScalarMul(ex::In(sims), -2.0f), 2.0f), -2.0f)));
-  return ex::Eval(ex::Log(ex::ScalarMul(
-      ex::AddScalar(kernel_sum, -static_cast<float>(n)),
-      1.0f / static_cast<float>(n * (n - 1)))));
+  Variable kernel_sum = tensor::FusedExpAffineSum(sims, -2.0f, 2.0f, -2.0f);
+  return tensor::Log(tensor::ScalarMul(
+      tensor::AddScalar(kernel_sum, -static_cast<float>(n)),
+      1.0f / static_cast<float>(n * (n - 1))));
 }
 
 Variable GlobalStructureLoss(const Variable& shared_cf, const Variable& shared_llm) {
@@ -49,9 +42,9 @@ Variable GlobalStructureLoss(const Variable& shared_cf, const Variable& shared_l
   Variable nllm = tensor::RowL2Normalize(shared_llm);
   Variable sim_cf = tensor::MatMul(ncf, ncf, false, true);
   Variable sim_llm = tensor::MatMul(nllm, nllm, false, true);
-  return ex::Eval(ex::ScalarMul(
-      ex::SumSquares(ex::Sub(ex::In(sim_cf), ex::In(sim_llm))),
-      1.0f / static_cast<float>(n) / static_cast<float>(n)));
+  // ≡ SumSquares(Sub(sim_cf, sim_llm)) / n².
+  return tensor::ScalarMul(tensor::FusedSubSumSquares(sim_cf, sim_llm),
+                           1.0f / static_cast<float>(n) / static_cast<float>(n));
 }
 
 Variable GlobalStructureLossSoftmax(const Variable& shared_cf,
@@ -82,12 +75,11 @@ Variable GlobalStructureLossSoftmax(const Variable& shared_cf,
   ones.Fill(1.0f);
   Variable lse_broadcast = tensor::MatMul(tensor::RowLogSumExp(logits_cf),
                                           Variable::Constant(std::move(ones)));
-  // Sum(targets ∘ (lse − s)) fuses into one traversal of the three n×n
-  // operands; `targets` is detached, so its gradient leg is skipped.
-  return ex::Eval(ex::ScalarMul(
-      ex::Sum(ex::Mul(ex::In(targets),
-                      ex::Sub(ex::In(lse_broadcast), ex::In(logits_cf)))),
-      1.0f / static_cast<float>(n)));
+  // Sum(targets ∘ (lse − s)) is one traversal of the three n×n operands;
+  // `targets` is detached, so its gradient leg is skipped.
+  return tensor::ScalarMul(
+      tensor::FusedMulSubSum(targets, lse_broadcast, logits_cf),
+      1.0f / static_cast<float>(n));
 }
 
 namespace {
@@ -165,11 +157,12 @@ Variable LocalStructureLoss(const Variable& shared_cf, const Variable& shared_ll
                                  tensor::RowL2Normalize(matched_llm), false, true);
 
   // Eq. 10: matched (diagonal) centers agree; unmatched pairs pushed apart.
-  // The diagonal penalty Mean(Square(diag − 1)) fuses; the off-diagonal term
-  // stays eager because `sims` and `diag` both feed two consumers.
+  // The diagonal penalty Mean(Square(diag − 1)) is one fused op; the
+  // off-diagonal term stays eager because `sims` and `diag` both feed two
+  // consumers.
   Variable diag = tensor::TakeDiagonal(sims);
-  Variable diag_term = ex::Eval(
-      ex::Mean(ex::Square(ex::AddScalar(ex::In(diag), -1.0f))));
+  Variable diag_term =
+      tensor::FusedSquareMean(diag, /*has_bias=*/true, -1.0f);
   if (k == 1) return diag_term;
   Variable off_diag_sq =
       tensor::Sub(tensor::SumSquares(sims), tensor::SumSquares(diag));

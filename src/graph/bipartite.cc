@@ -35,15 +35,6 @@ BipartiteGraph::BipartiteGraph(const data::InteractionStore& store) {
   BuildAdjacency();
 }
 
-BipartiteGraph BipartiteGraph::Edgeless(int64_t num_users, int64_t num_items) {
-  BipartiteGraph graph;
-  graph.num_users_ = num_users;
-  graph.num_items_ = num_items;
-  graph.num_edges_ = 0;
-  graph.BuildAdjacency();
-  return graph;
-}
-
 void BipartiteGraph::BuildAdjacency() {
   std::vector<Triplet> triplets;
   triplets.reserve(2 * edges_.size());

@@ -23,14 +23,8 @@ class BipartiteGraph {
 
   /// Builds from a training InteractionStore, streaming its row blocks.
   /// The edge list and adjacency are still materialized (propagation
-  /// backbones are inherently O(edges) resident); for stores too large for
-  /// that, use Edgeless() with a propagation-free backbone ("mf").
+  /// backbones are inherently O(edges) resident).
   explicit BipartiteGraph(const data::InteractionStore& store);
-
-  /// A graph with no edges — the shape-only stand-in for backbones that
-  /// never propagate over the adjacency (matrix factorization), letting the
-  /// web-scale path skip the O(edges) adjacency entirely.
-  static BipartiteGraph Edgeless(int64_t num_users, int64_t num_items);
 
   int64_t num_users() const { return num_users_; }
   int64_t num_items() const { return num_items_; }
@@ -71,8 +65,6 @@ class BipartiteGraph {
   const std::vector<data::Interaction>& edges() const { return edges_; }
 
  private:
-  BipartiteGraph() = default;
-
   std::shared_ptr<const tensor::CsrMatrix> BuildNormalized(
       const std::vector<bool>& edge_kept) const;
 

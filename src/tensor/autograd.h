@@ -151,7 +151,6 @@ class GraphContext {
     int64_t slot_allocs = 0;   // new arena slots (warm-up / graph growth)
     int64_t slot_reuses = 0;   // recycled slots (steady state)
     int64_t evictions = 0;     // slots handed off to external holders
-    int64_t fused_ops = 0;     // fused-traversal nodes recorded (expr fusion)
   };
 
   GraphContext() = default;
@@ -170,10 +169,6 @@ class GraphContext {
   /// Slots handed out since the last Reset.
   size_t live_nodes() const { return used_; }
   const Stats& stats() const { return stats_; }
-
-  /// Bumps stats().fused_ops — called by the fused ops in ops.cc so arena
-  /// telemetry shows how much of a step graph ran through fused traversals.
-  void NoteFusedOp() { ++stats_.fused_ops; }
 
   /// The context new Variables/ops route through, or null (legacy
   /// make_shared path). Thread-local.

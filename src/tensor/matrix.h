@@ -232,7 +232,7 @@ void RowNormalizeInto(const Matrix& a, Matrix* out, float eps = 1e-12f);
 void PairwiseSquaredDistancesInto(const Matrix& a, const Matrix& b, Matrix* out);
 
 // ----------------------------------------------------------------------------
-// Fused-traversal kernels (expression fusion, DESIGN.md §14). Each function
+// Fused-traversal kernels (fused loss ops, DESIGN.md §14). Each function
 // is bitwise identical to the eager op composition named in its comment: the
 // per-element float sequence and the serial double accumulation order match
 // the eager kernels exactly, at every SIMD tier and thread count. Forward

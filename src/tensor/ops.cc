@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "tensor/expr.h"
 #include "tensor/workspace.h"
 
 namespace darec::tensor {
@@ -278,12 +277,6 @@ Variable Square(const Variable& a) {
     an->AccumulateGrad(*da);
   });
   return out;
-}
-
-Variable Abs(const Variable& a) {
-  return UnaryElementwise(
-      a, [](float x) { return std::fabs(x); },
-      [](float x, float) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); });
 }
 
 Variable Softplus(const Variable& a) {
@@ -590,19 +583,6 @@ Variable MeanOf(const std::vector<Variable>& vars) {
   return ScalarMul(acc, 1.0f / static_cast<float>(vars.size()));
 }
 
-Variable RowDot(const Variable& a, const Variable& b) {
-  if (expr::RecorderActive()) return RowSum(Mul(a, b));
-  return expr::Eval(expr::RowSum(expr::Mul(expr::In(a), expr::In(b))));
-}
-
-Variable CosineRowSimilarity(const Variable& a, const Variable& b) {
-  if (expr::RecorderActive()) {
-    return RowSum(Mul(RowL2Normalize(a), RowL2Normalize(b)));
-  }
-  return expr::Eval(expr::RowSum(expr::Mul(expr::RowL2Normalize(expr::In(a)),
-                                           expr::RowL2Normalize(expr::In(b)))));
-}
-
 Variable BprLoss(const Variable& pos_scores, const Variable& neg_scores) {
   DARE_CHECK_EQ(pos_scores.rows(), neg_scores.rows());
   DARE_CHECK_EQ(pos_scores.cols(), 1);
@@ -625,9 +605,7 @@ Variable MseLoss(const Variable& a, const Variable& b) {
   DARE_CHECK(a.value().SameShape(b.value()));
   DARE_CHECK_GT(a.value().size(), 0);
   const float inv = 1.0f / static_cast<float>(a.value().size());
-  if (expr::RecorderActive()) return ScalarMul(SumSquares(Sub(a, b)), inv);
-  return expr::Eval(expr::ScalarMul(
-      expr::SumSquares(expr::Sub(expr::In(a), expr::In(b))), inv));
+  return ScalarMul(FusedSubSumSquares(a, b), inv);
 }
 
 Variable L2Penalty(const std::vector<Variable>& vars) {
@@ -638,7 +616,7 @@ Variable L2Penalty(const std::vector<Variable>& vars) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused-traversal ops. Each replaces a whole chain of the ops above with one
+// Fused loss ops. Each replaces a whole chain of the ops above with one
 // node: the forward runs the chain's exact float sequence in a single pass
 // (tensor/simd fused kernels), and the backward re-expands to the same
 // per-op gradients in the same accumulation order the eager chain's
@@ -646,22 +624,8 @@ Variable L2Penalty(const std::vector<Variable>& vars) {
 // and golden traces don't move.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-thread_local int64_t g_fused_ops_executed = 0;
-
-void NoteFused() {
-  ++g_fused_ops_executed;
-  if (GraphContext* ctx = GraphContext::Current()) ctx->NoteFusedOp();
-}
-
-}  // namespace
-
-int64_t FusedOpsExecuted() { return g_fused_ops_executed; }
-
 Variable FusedSubSumSquares(const Variable& a, const Variable& b) {
   DARE_CHECK(a.value().SameShape(b.value()));
-  NoteFused();
   Variable out = NewResult(1, 1);
   out.mutable_value()(0, 0) = FusedSubSumSquares(a.value(), b.value());
   auto an = a.node();
@@ -683,18 +647,18 @@ Variable FusedSubSumSquares(const Variable& a, const Variable& b) {
   return out;
 }
 
-Variable FusedSquareSum(const Variable& a, bool has_bias, float bias,
-                        bool has_scale, float scale) {
-  NoteFused();
+Variable FusedSquareMean(const Variable& a, bool has_bias, float bias) {
+  DARE_CHECK_GT(a.value().size(), 0);
+  // The eager Mean is ScalarMul(Sum(x), 1/size) — the same scale.
+  const float scale = 1.0f / static_cast<float>(a.value().size());
   Variable out = NewResult(1, 1);
-  const float sum = FusedSquareSum(a.value(), has_bias, bias);
-  out.mutable_value()(0, 0) = has_scale ? sum * scale : sum;
+  out.mutable_value()(0, 0) = FusedSquareSum(a.value(), has_bias, bias) * scale;
   auto an = a.node();
-  FinishOp(out, {an}, [an, has_bias, bias, has_scale, scale](Node& o) {
+  FinishOp(out, {an}, [an, has_bias, bias, scale](Node& o) {
     if (!NeedsGrad(an)) return;
     // Eager chain: ScalarMul backward scales g, Sum backward broadcasts it,
     // Square backward multiplies by 2u, AddScalar backward passes through.
-    const float g = has_scale ? o.grad()(0, 0) * scale : o.grad()(0, 0);
+    const float g = o.grad()(0, 0) * scale;
     ScratchMatrix da(Ws(), an->value().size());
     FusedSquareSumGradInto(an->value(), has_bias, bias, g, da.get());
     an->AccumulateGrad(*da);
@@ -703,7 +667,6 @@ Variable FusedSquareSum(const Variable& a, bool has_bias, float bias,
 }
 
 Variable FusedExpAffineSum(const Variable& a, float s1, float b1, float s2) {
-  NoteFused();
   Variable out = NewResult(1, 1);
   // The exp results are stashed for the backward closure — exp is by far the
   // most expensive step of the chain and the eager path also evaluates it
@@ -725,7 +688,6 @@ Variable FusedMulSubSum(const Variable& t, const Variable& a,
                         const Variable& b) {
   DARE_CHECK(t.value().SameShape(a.value()));
   DARE_CHECK(a.value().SameShape(b.value()));
-  NoteFused();
   Variable out = NewResult(1, 1);
   out.mutable_value()(0, 0) = FusedMulSubSum(t.value(), a.value(), b.value());
   auto tn = t.node();
@@ -753,10 +715,9 @@ Variable FusedMulSubSum(const Variable& t, const Variable& a,
   return out;
 }
 
-Variable FusedCosineRowSimilarity(const Variable& a, const Variable& b,
-                                  float eps) {
+Variable CosineRowSimilarity(const Variable& a, const Variable& b) {
   DARE_CHECK(a.value().SameShape(b.value()));
-  NoteFused();
+  const float eps = 1e-12f;  // RowL2Normalize's default.
   Variable out = NewResult(a.rows(), 1);
   // The row norms computed by the forward pass are stashed for the backward
   // closure, which would otherwise re-derive them (two dots per row).
@@ -783,9 +744,8 @@ Variable FusedCosineRowSimilarity(const Variable& a, const Variable& b,
   return out;
 }
 
-Variable FusedRowDot(const Variable& a, const Variable& b) {
+Variable RowDot(const Variable& a, const Variable& b) {
   DARE_CHECK(a.value().SameShape(b.value()));
-  NoteFused();
   Variable out = NewResult(a.rows(), 1);
   FusedRowDotInto(a.value(), b.value(), &out.mutable_value());
   auto an = a.node();

@@ -44,8 +44,6 @@ Variable Exp(const Variable& a);
 /// Natural log of (a + eps); eps guards against log(0).
 Variable Log(const Variable& a, float eps = 1e-12f);
 Variable Square(const Variable& a);
-/// Elementwise |a|; gradient is sign(a) (0 at 0).
-Variable Abs(const Variable& a);
 /// ln(1 + e^x), numerically stable.
 Variable Softplus(const Variable& a);
 
@@ -92,9 +90,11 @@ Variable TakeDiagonal(const Variable& a);
 Variable MeanOf(const std::vector<Variable>& vars);
 
 /// Row dot products -> rows x 1 (ranking scores from paired embeddings).
+/// A fused op (see below): ≡ RowSum(Mul(a, b)).
 Variable RowDot(const Variable& a, const Variable& b);
 
-/// Row-wise cosine similarity -> rows x 1.
+/// Row-wise cosine similarity -> rows x 1. A fused op (see below):
+/// ≡ RowSum(Mul(RowL2Normalize(a), RowL2Normalize(b))).
 Variable CosineRowSimilarity(const Variable& a, const Variable& b);
 
 /// BPR pairwise loss: mean softplus(neg - pos) over rows (inputs Bx1).
@@ -110,37 +110,25 @@ Variable MseLoss(const Variable& a, const Variable& b);
 /// L2 regularization: 0.5 * sum of squared elements over the given variables.
 Variable L2Penalty(const std::vector<Variable>& vars);
 
-// --- Fused-traversal ops (expression fusion, DESIGN.md §14) ----------------
+// --- Fused loss ops (DESIGN.md §14) -----------------------------------------
 //
-// Each op materializes a whole elementwise/reduction chain in one pass and
-// records a single graph node whose backward re-expands to the chain's
-// per-op gradients — forward value, parameter gradients, and accumulation
-// order are bitwise identical to the eager composition named in the comment.
-// tensor/expr.cc emits these when pattern-matching recorded chains; they are
-// public so the parity tests can drive them directly.
+// Each op runs a whole elementwise/reduction chain in one traversal and
+// records one graph node, whose backward applies the chain's per-op
+// gradient formulas in the chain's accumulation order. Value and input
+// gradients are bitwise equal to the eager composition named in the comment
+// (fused_ops_test holds each op to it). RowDot and CosineRowSimilarity above
+// are fused the same way.
 
 /// ≡ SumSquares(Sub(a, b)) -> 1x1.
 Variable FusedSubSumSquares(const Variable& a, const Variable& b);
-/// ≡ [ScalarMul(...)  if has_scale] Sum(Square([AddScalar(a, bias) if
-/// has_bias])) -> 1x1. With has_scale this is Mean(Square(...)) when scale
-/// is 1/size.
-Variable FusedSquareSum(const Variable& a, bool has_bias, float bias,
-                        bool has_scale, float scale);
+/// ≡ Mean(Square(AddScalar(a, bias))) with has_bias, else
+/// Mean(Square(a)) -> 1x1.
+Variable FusedSquareMean(const Variable& a, bool has_bias, float bias);
 /// ≡ Sum(Exp(ScalarMul(AddScalar(ScalarMul(a, s1), b1), s2))) -> 1x1.
 Variable FusedExpAffineSum(const Variable& a, float s1, float b1, float s2);
 /// ≡ Sum(Mul(t, Sub(a, b))) -> 1x1.
 Variable FusedMulSubSum(const Variable& t, const Variable& a,
                         const Variable& b);
-/// ≡ RowSum(Mul(RowL2Normalize(a, eps), RowL2Normalize(b, eps))) -> rows x 1.
-Variable FusedCosineRowSimilarity(const Variable& a, const Variable& b,
-                                  float eps = 1e-12f);
-/// ≡ RowSum(Mul(a, b)) -> rows x 1.
-Variable FusedRowDot(const Variable& a, const Variable& b);
-
-/// Thread-local count of fused ops executed since thread start — lets tests
-/// assert that a chain actually took the fused path rather than matching
-/// bitwise by falling back to the eager replay.
-int64_t FusedOpsExecuted();
 
 }  // namespace darec::tensor
 

@@ -38,7 +38,7 @@ struct KernelTable {
   void (*pairwise_assemble)(float* drow, const float* prow,
                             const float* b_norms, float a_norm, int64_t n);
 
-  // --- Fused-traversal bodies (expression fusion, DESIGN.md §14) ---
+  // --- Fused-traversal bodies (fused loss ops, DESIGN.md §14) ---
   //
   // Each fused kernel performs the exact per-element float sequence of the
   // eager op chain it replaces (named in its comment), so fused ≡ eager

@@ -3,14 +3,12 @@
 // arena recycles nodes, the Workspace recycles buffers — on the serial
 // trainer and on the data-parallel super-step alike.
 #include <cstdint>
-#include <cstring>
-#include <vector>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
 #include "pipeline/train_loop.h"
 #include "tensor/alloc_stats.h"
-#include "tensor/expr.h"
 
 namespace darec::pipeline {
 namespace {
@@ -35,24 +33,6 @@ ExperimentSpec SmallSpec(const std::string& variant) {
   spec.darec_options.hidden_dim = 24;
   spec.darec_options.kmeans_iterations = 5;
   return spec;
-}
-
-uint64_t Bits(double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-/// Epoch losses of a fresh deterministic Experiment.
-std::vector<double> RunEpochs(const std::string& variant, int epochs) {
-  auto experiment = Experiment::Create(SmallSpec(variant));
-  EXPECT_TRUE(experiment.ok());
-  std::vector<double> losses;
-  losses.reserve(epochs);
-  for (int e = 0; e < epochs; ++e) {
-    losses.push_back((*experiment)->trainer().RunEpoch());
-  }
-  return losses;
 }
 
 struct EpochAllocs {
@@ -134,33 +114,6 @@ TEST(AllocRegressionTest, SuperStepEpochsKeepTheSerialBudget) {
         << "super-step allocations regressed: " << allocs.steady_allocations
         << " allocs / " << allocs.steady_bytes << " bytes over two epochs";
   }
-}
-
-TEST(AllocRegressionTest, FusionOnAndOffProduceBitwiseEqualEpochLosses) {
-  // Expression fusion changes how many traversals (and graph nodes) a loss
-  // chain takes, never its bits — end to end, over full training epochs.
-  tensor::expr::SetFusionForTest(true);
-  std::vector<double> fused = RunEpochs("darec", 3);
-  tensor::expr::SetFusionForTest(false);
-  std::vector<double> replayed = RunEpochs("darec", 3);
-  tensor::expr::SetFusionForTest(true);
-  ASSERT_EQ(fused.size(), replayed.size());
-  for (size_t e = 0; e < fused.size(); ++e) {
-    EXPECT_EQ(Bits(fused[e]), Bits(replayed[e]))
-        << "epoch " << e + 1 << " loss drifted: fused=" << fused[e]
-        << " replayed=" << replayed[e];
-  }
-}
-
-TEST(AllocRegressionTest, FusedSteadyStateEpochsStayAllocationFree) {
-  // The expr recorder reuses its node/memo storage across Evals, so fusion
-  // must not disturb the steady-state allocation budget.
-  tensor::expr::SetFusionForTest(true);
-  EpochAllocs fused = MeasureEpochAllocs("darec");
-  EXPECT_LE(fused.steady_allocations, 24)
-      << "fusion broke the steady-state allocation budget: "
-      << fused.steady_allocations << " allocs / " << fused.steady_bytes
-      << " bytes over two epochs";
 }
 
 TEST(AllocRegressionTest, ArenaRecyclesSlotsAcrossEpochs) {
