@@ -2,11 +2,12 @@
 # Repo verification: tier-1 build + full test suite, a checkpoint-aware bench
 # resume smoke (kill a sweep mid-run, rerun with resume=1, final metrics must
 # match an uninterrupted run), then an AddressSanitizer pass over the
-# fault-tolerance surface (checkpointing, fail-point injection,
-# corrupted-file parsing) and the arena/workspace memory model, and a
-# ThreadSanitizer pass over the parallel runtime (thread pool +
-# blocked/threaded kernels), the staged train loop (crash/resume, policies,
-# observers), the data-parallel step executor (8-worker super-steps) and
+# fault-tolerance surface (checkpointing, the word-at-a-time CRC-32,
+# fail-point injection, corrupted-file parsing) and the arena/workspace
+# memory model, and a ThreadSanitizer pass over the parallel runtime
+# (thread pool + blocked/threaded kernels), the staged train loop
+# (crash/resume, policies, observers), checkpoint rotation's background
+# retirer, the data-parallel step executor (8-worker super-steps) and
 # concurrent workspace acquire/release, and the online serving tier
 # (multi-producer microbatch queue with mid-flight snapshot swaps, bounded
 # admission + degradation ladder + request deadlines). A forced
@@ -101,10 +102,10 @@ rm -rf "$resume_dir" "$resume_dir.full.txt" "$resume_dir.resumed.txt"
 echo "resume smoke: final tables identical"
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "=== ASan: checkpointing + fail points + corrupted-file parsing ==="
+  echo "=== ASan: checkpointing + CRC-32 + fail points + corrupted-file parsing ==="
   cmake -B build-asan -S . -DDAREC_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$(nproc)" \
-    --target failpoint_test checkpoint_test io_corruption_test io_test \
+    --target failpoint_test checkpoint_test crc32_test io_corruption_test io_test \
              trainer_ckpt_test workspace_test graph_context_test \
              alloc_regression_test backoff_test overload_test \
              shards_test web_scale_test sharded_checkpoint_test \
@@ -123,8 +124,11 @@ if [[ "$run_asan" == 1 ]]; then
   # outlive step graphs, so a stale buffer or slot would show here.
   # fused_ops_test: the fused backward passes read scratch stashed at
   # forward time (row norms, exp outputs), inside and outside the arena.
+  # crc32_test runs the CRC's unaligned eight-byte loads and byte tails at
+  # every start offset and length up to 300, where a read past the end
+  # would trap.
   ctest --test-dir build-asan --output-on-failure \
-    -R 'failpoint_test|checkpoint_test|io_corruption_test|io_test|trainer_ckpt_test|workspace_test|graph_context_test|alloc_regression_test|backoff_test|overload_test|shards_test|web_scale_test|sharded_checkpoint_test|interactions_test|topk_engine_test|recommender_test|autograd_test|parallel_executor_test|fused_ops_test'
+    -R 'failpoint_test|checkpoint_test|crc32_test|io_corruption_test|io_test|trainer_ckpt_test|workspace_test|graph_context_test|alloc_regression_test|backoff_test|overload_test|shards_test|web_scale_test|sharded_checkpoint_test|interactions_test|topk_engine_test|recommender_test|autograd_test|parallel_executor_test|fused_ops_test'
 fi
 
 if [[ "$run_ubsan" == 1 ]]; then
@@ -135,14 +139,15 @@ if [[ "$run_ubsan" == 1 ]]; then
 fi
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "=== TSan: thread pool + parallel kernels + top-K engine + crash/resume ==="
+  echo "=== TSan: thread pool + parallel kernels + top-K engine + crash/resume + checkpoint retirer ==="
   cmake -B build-tsan -S . -DDAREC_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$(nproc)" \
     --target thread_pool_test parallel_kernels_test topk_engine_test \
              kmeans_test failpoint_test trainer_ckpt_test \
              train_policies_test train_observer_test workspace_test \
              parallel_executor_test cpu_features_test \
-             server_test overload_test sharded_checkpoint_test >/dev/null
+             server_test overload_test checkpoint_test \
+             sharded_checkpoint_test >/dev/null
   # parallel_executor_test drives 8-worker super-steps (GradSink diversion,
   # fixed-order reduction, per-slot aligner state) under TSan. server_test's
   # hammers run multi-producer submits against the microbatch flusher with
@@ -151,8 +156,11 @@ if [[ "$run_tsan" == 1 ]]; then
   # SubmitWithRetry under the same flusher. sharded_checkpoint_test runs the
   # parallel per-section checkpoint I/O (writes and reads on the global
   # pool) under TSan, including the 1-vs-8-thread byte-parity sweep.
+  # checkpoint_test rotates on every Save, so the manager's retirer thread
+  # closes retired files while the next commits land, and the destructor
+  # drains it.
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'thread_pool_test|parallel_kernels_test|topk_engine_test|kmeans_test|failpoint_test|trainer_ckpt_test|train_policies_test|train_observer_test|workspace_test|parallel_executor_test|cpu_features_test|server_test|overload_test|sharded_checkpoint_test'
+    -R 'thread_pool_test|parallel_kernels_test|topk_engine_test|kmeans_test|failpoint_test|trainer_ckpt_test|train_policies_test|train_observer_test|workspace_test|parallel_executor_test|cpu_features_test|server_test|overload_test|checkpoint_test|sharded_checkpoint_test'
 fi
 
 echo "=== all checks passed ==="

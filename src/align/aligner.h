@@ -68,6 +68,18 @@ class Aligner {
     }
     return core::Status::Ok();
   }
+
+  /// MutableState() copied into `out`, and RestoreMutableState() from a
+  /// copy of `state`. Stateful aligners override both to copy into the
+  /// capacity the destination matrices already hold, so the data-parallel
+  /// executor's per-slot snapshots and their adoption allocate nothing.
+  virtual void CopyMutableStateInto(std::vector<tensor::Matrix>* out) const {
+    *out = MutableState();
+  }
+  virtual core::Status CopyMutableStateFrom(
+      const std::vector<tensor::Matrix>& state) {
+    return RestoreMutableState(state);
+  }
 };
 
 /// The "Baseline" variant: no LLM knowledge at all.

@@ -1,8 +1,18 @@
 #include "ckpt/checkpoint.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <condition_variable>
 #include <cstdio>
+#include <cstring>
+#include <deque>
 #include <filesystem>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
 #include "ckpt/serialize.h"
 #include "core/crc32.h"
@@ -54,21 +64,32 @@ core::StatusOr<std::string_view> Bundle::Get(const std::string& name) const {
 }
 
 std::string SerializeBundle(const Bundle& bundle) {
-  ByteWriter content;
-  content.PutU32(static_cast<uint32_t>(bundle.sections.size()));
-  for (const auto& [name, payload] : bundle.sections) {
-    content.PutU32(static_cast<uint32_t>(name.size()));
-    content.PutBytes(name);
-    content.PutU64(payload.size());
-    content.PutU32(core::Crc32(payload));
-    content.PutBytes(payload);
-  }
+  // One buffer, one pass over each payload: the file CRC runs over the
+  // framing fields and folds each payload in through its section CRC, and
+  // is patched in at the end.
   ByteWriter out;
   out.PutBytes(std::string_view(kMagic, sizeof(kMagic)));
   out.PutU32(kFormatVersion);
-  out.PutU32(core::Crc32(content.str()));
-  out.PutBytes(content.str());
-  return out.Release();
+  out.PutU32(0);
+  out.PutU32(static_cast<uint32_t>(bundle.sections.size()));
+  uint32_t file_crc = 0;
+  size_t unsummed = kCrcCoverageStart;  // First content byte not in file_crc.
+  for (const auto& [name, payload] : bundle.sections) {
+    const uint32_t payload_crc = core::Crc32(payload);
+    out.PutU32(static_cast<uint32_t>(name.size()));
+    out.PutBytes(name);
+    out.PutU64(payload.size());
+    out.PutU32(payload_crc);
+    file_crc = core::Crc32(std::string_view(out.str()).substr(unsummed), file_crc);
+    out.PutBytes(payload);
+    file_crc = core::Crc32Combine(file_crc, payload_crc, payload.size());
+    unsummed = out.str().size();
+  }
+  file_crc = core::Crc32(std::string_view(out.str()).substr(unsummed), file_crc);
+  std::string bytes = out.Release();
+  std::memcpy(bytes.data() + kCrcCoverageStart - sizeof(file_crc), &file_crc,
+              sizeof(file_crc));
+  return bytes;
 }
 
 core::StatusOr<Bundle> ParseBundle(std::string_view data) {
@@ -112,10 +133,99 @@ core::StatusOr<Bundle> ParseBundle(std::string_view data) {
   return bundle;
 }
 
+/// Takes superseded checkpoint paths out of the directory at once and
+/// closes the descriptors that keep their inodes alive on one background
+/// thread, started by the first Retire, in the order they were queued.
+class CheckpointManager::Retirer {
+ public:
+  Retirer() = default;
+  Retirer(const Retirer&) = delete;
+  Retirer& operator=(const Retirer&) = delete;
+
+  /// Closes every queued descriptor, then joins the thread.
+  ~Retirer() {
+    if (!thread_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+  /// Unlinks `path` (a file, or a directory after its entries) while
+  /// holding it open, and queues the descriptor. A path that cannot be
+  /// opened is unlinked all the same, paying the cost here. Failures are
+  /// logged, never fatal: the checkpoints that matter are already durable.
+  void Retire(const std::string& path) {
+    std::error_code ec;
+    const bool is_dir =
+        std::filesystem::is_directory(std::filesystem::symlink_status(path, ec));
+    if (is_dir) {
+      std::vector<std::string> children;
+      for (const auto& entry : std::filesystem::directory_iterator(path, ec)) {
+        children.push_back(entry.path().string());
+      }
+      for (const std::string& child : children) Retire(child);
+    }
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if ((is_dir ? ::rmdir(path.c_str()) : ::unlink(path.c_str())) != 0) {
+      const int error = errno;
+      if (fd >= 0) ::close(fd);  // Still linked: this close frees nothing.
+      if (error != ENOENT) {
+        DARE_LOG(Warning) << "checkpoint rotation: cannot remove " << path
+                          << ": " << std::strerror(error);
+      }
+      return;
+    }
+    if (fd >= 0) Hold(fd);
+  }
+
+ private:
+  void Hold(int fd) {
+    if (!thread_.joinable()) {
+      try {
+        thread_ = std::thread([this] { Run(); });
+      } catch (const std::system_error& e) {
+        DARE_LOG(Warning) << "checkpoint rotation: no retirer thread ("
+                          << e.what() << "), freeing on the caller's thread";
+        ::close(fd);
+        return;
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      fds_.push_back(fd);
+    }
+    cv_.notify_one();
+  }
+
+  void Run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [this] { return stopping_ || !fds_.empty(); });
+      if (fds_.empty()) return;
+      const int fd = fds_.front();
+      fds_.pop_front();
+      lock.unlock();
+      ::close(fd);  // The last reference: the inode's blocks are freed here.
+      lock.lock();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<int> fds_;
+  bool stopping_ = false;
+  std::thread thread_;
+};
+
 CheckpointManager::CheckpointManager(CheckpointManagerOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), retirer_(std::make_unique<Retirer>()) {
   options_.keep_last = std::max<int64_t>(options_.keep_last, 1);
 }
+
+CheckpointManager::~CheckpointManager() = default;
 
 std::string CheckpointManager::PathForStep(int64_t step) const {
   char suffix[32];
@@ -294,20 +404,15 @@ core::Status CheckpointManager::Save(int64_t step, const Bundle& bundle) {
         core::WriteFileAtomic(PathForStep(step), SerializeBundle(bundle)));
   }
 
-  // Rotation: drop everything but the newest keep_last checkpoints. Removal
-  // failures are logged, not fatal — the new checkpoint is already durable.
+  // Rotation, now that the new checkpoint is durable: retire everything but
+  // the newest keep_last checkpoints. A sharded one loses its manifest first;
+  // without it the section directory is dead weight.
   std::vector<CheckpointEntry> entries = List();
   const int64_t excess = static_cast<int64_t>(entries.size()) - options_.keep_last;
   for (int64_t i = 0; i < excess; ++i) {
     const CheckpointEntry& entry = entries[static_cast<size_t>(i)];
-    std::error_code remove_ec;
-    if (!std::filesystem::remove(entry.path, remove_ec) || remove_ec) {
-      DARE_LOG(Warning) << "checkpoint rotation: cannot remove " << entry.path;
-    }
-    if (entry.sharded) {
-      // The manifest is gone, so the section directory is dead weight.
-      std::filesystem::remove_all(SectionDirFor(entry.path), remove_ec);
-    }
+    retirer_->Retire(entry.path);
+    if (entry.sharded) retirer_->Retire(SectionDirFor(entry.path));
   }
   return core::Status::Ok();
 }

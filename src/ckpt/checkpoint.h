@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -93,11 +94,28 @@ struct CheckpointEntry {
 /// oldest and skips damaged files with a logged warning, so the newest
 /// *valid* checkpoint is always restored — a torn or bit-flipped file is
 /// a fallback, never a crash or silent garbage.
+///
+/// Rotation never waits on the disk. Freeing a written file's blocks can
+/// take far longer than writing it (DESIGN.md §8), and the filesystem frees
+/// them at the last close of an unlinked file, not at the unlink while a
+/// descriptor holds it open. So once the new checkpoint is durable, Save
+/// opens and unlinks each superseded file — a sharded checkpoint's manifest
+/// (its commit point) first, then its section files and directory — and
+/// hands the descriptors to the manager's own background thread, which
+/// closes them in order. When Save returns, the names are gone. A crash
+/// leaves either the old checkpoint under its own name, which the next
+/// Save's rotation retires, or an unlinked inode, which the kernel frees
+/// when the process exits (the filesystem's orphan recovery, after a power
+/// loss). The destructor closes every descriptor still queued.
 class CheckpointManager {
  public:
   explicit CheckpointManager(CheckpointManagerOptions options);
+  ~CheckpointManager();
+  CheckpointManager(const CheckpointManager&) = delete;
+  CheckpointManager& operator=(const CheckpointManager&) = delete;
 
-  /// Serializes `bundle` as step `step` (atomically) and rotates old files.
+  /// Serializes `bundle` as step `step` (atomically) and retires old
+  /// checkpoints: when it returns, List shows only the newest `keep_last`.
   core::Status Save(int64_t step, const Bundle& bundle);
 
   struct Loaded {
@@ -122,11 +140,14 @@ class CheckpointManager {
   const CheckpointManagerOptions& options() const { return options_; }
 
  private:
+  class Retirer;
+
   core::Status SaveSharded(const std::string& manifest_path,
                            const Bundle& bundle) const;
   core::StatusOr<Bundle> LoadSharded(const std::string& manifest_path) const;
 
   CheckpointManagerOptions options_;
+  std::unique_ptr<Retirer> retirer_;
 };
 
 }  // namespace darec::ckpt

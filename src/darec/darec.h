@@ -102,6 +102,22 @@ class DaRecAligner final : public align::Aligner {
     local_state_.llm_centers = std::move(state[1]);
     return core::Status::Ok();
   }
+  void CopyMutableStateInto(std::vector<tensor::Matrix>* out) const override {
+    out->resize(2);
+    (*out)[0].CopyFrom(local_state_.cf_centers);
+    (*out)[1].CopyFrom(local_state_.llm_centers);
+  }
+  core::Status CopyMutableStateFrom(
+      const std::vector<tensor::Matrix>& state) override {
+    if (state.size() != 2) {
+      return core::Status::FailedPrecondition(
+          "darec aligner state needs 2 matrices, got " +
+          std::to_string(state.size()));
+    }
+    local_state_.cf_centers.CopyFrom(state[0]);
+    local_state_.llm_centers.CopyFrom(state[1]);
+    return core::Status::Ok();
+  }
 
   /// Projects the given rows (all nodes when `sample` is empty) through the
   /// four projectors without recording gradients — used by the t-SNE /

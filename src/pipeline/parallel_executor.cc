@@ -71,8 +71,8 @@ ParallelStepExecutor::SuperStepResult ParallelStepExecutor::Execute(
     if (align_phase_[s]) {
       // Every align slot warm-starts from the super-step-initial state —
       // chaining copies through concurrent slots would reintroduce an order
-      // dependence.
-      slot_states_[s] = aligner_->MutableState();
+      // dependence. The copy reuses the slot's buffers.
+      aligner_->CopyMutableStateInto(&slot_states_[s]);
     }
   }
 
@@ -172,13 +172,12 @@ ParallelStepExecutor::SuperStepResult ParallelStepExecutor::Execute(
 
   if (aligner_ != nullptr) {
     // Adopt the state of the last align slot — the one a 1-worker run
-    // would leave behind.
+    // would leave behind — copying it into the aligner's own buffers; every
+    // slot keeps its buffers for its next copy.
     for (int64_t s = count - 1; s >= 0; --s) {
       if (!align_phase_[s]) continue;
-      const core::Status adopted =
-          aligner_->RestoreMutableState(std::move(slot_states_[s]));
+      const core::Status adopted = aligner_->CopyMutableStateFrom(slot_states_[s]);
       DARE_CHECK(adopted.ok()) << adopted.ToString();
-      slot_states_[s].clear();
       break;
     }
   }

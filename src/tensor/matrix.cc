@@ -472,8 +472,8 @@ void FusedMulSubSumGradInto(const Matrix& t, const Matrix& a, const Matrix& b,
   });
 }
 
-void FusedCosineRowsInto(const Matrix& a, const Matrix& b, float eps,
-                         Matrix* out, Matrix* norms) {
+void FusedCosineRowsInto(const Matrix& a, const Matrix& b, Matrix* out,
+                         Matrix* norms) {
   DARE_CHECK(a.SameShape(b)) << "FusedCosineRowsInto shape mismatch";
   out->ResetShape(a.rows(), 1);
   norms->ResetShape(a.rows(), 2);
@@ -483,15 +483,14 @@ void FusedCosineRowsInto(const Matrix& a, const Matrix& b, float eps,
   const simd::KernelTable& kt = simd::Kernels();
   core::ParallelFor(0, a.rows(), RowGrain(3 * cols), [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
-      sims(r, 0) = kt.fused_cosine_row(a.Row(r), b.Row(r), cols, eps,
+      sims(r, 0) = kt.fused_cosine_row(a.Row(r), b.Row(r), cols,
                                        norm_pairs.Row(r));
     }
   });
 }
 
 void FusedCosineRowsGradInto(const Matrix& a, const Matrix& b, const Matrix& g,
-                             float eps, const Matrix& norms, Matrix* da,
-                             Matrix* db) {
+                             const Matrix& norms, Matrix* da, Matrix* db) {
   DARE_CHECK(a.SameShape(b)) << "FusedCosineRowsGradInto shape mismatch";
   DARE_CHECK_EQ(g.rows(), a.rows());
   DARE_CHECK_EQ(g.cols(), 1);
@@ -506,7 +505,7 @@ void FusedCosineRowsGradInto(const Matrix& a, const Matrix& b, const Matrix& g,
     for (int64_t r = lo; r < hi; ++r) {
       kt.fused_cosine_row_grad(da ? da->Row(r) : nullptr,
                                db ? db->Row(r) : nullptr, a.Row(r), b.Row(r),
-                               g(r, 0), cols, eps, norms.Row(r));
+                               g(r, 0), cols, norms.Row(r));
     }
   });
 }

@@ -265,16 +265,16 @@ float FusedMulSubSum(const Matrix& t, const Matrix& a, const Matrix& b);
 /// Backward: dt = g*(a-b), da = g*t, db = -g*t.
 void FusedMulSubSumGradInto(const Matrix& t, const Matrix& a, const Matrix& b,
                             float g, Matrix* dt, Matrix* da, Matrix* db);
-/// out (rows x 1) ≡ row-sums of Hadamard(RowNormalize(a, eps),
-/// RowNormalize(b, eps)) — per-row cosine similarity in one pass. Stashes
-/// the per-row norm pair (na, nb) into `norms` (rows x 2) for the backward.
-void FusedCosineRowsInto(const Matrix& a, const Matrix& b, float eps,
-                         Matrix* out, Matrix* norms);
+/// out (rows x 1) ≡ row-sums of Hadamard(RowNormalize(a), RowNormalize(b))
+/// at the default eps (simd::kCosineEps) — per-row cosine similarity in one
+/// pass. Stashes the per-row norm pair (na, nb) into `norms` (rows x 2) for
+/// the backward.
+void FusedCosineRowsInto(const Matrix& a, const Matrix& b, Matrix* out,
+                         Matrix* norms);
 /// Backward of the above; `g` is the rows x 1 upstream gradient and `norms`
 /// the forward's stashed rows x 2 norm pairs.
 void FusedCosineRowsGradInto(const Matrix& a, const Matrix& b, const Matrix& g,
-                             float eps, const Matrix& norms, Matrix* da,
-                             Matrix* db);
+                             const Matrix& norms, Matrix* da, Matrix* db);
 /// out (rows x 1) ≡ row-sums of Hadamard(a, b).
 void FusedRowDotInto(const Matrix& a, const Matrix& b, Matrix* out);
 /// Backward: da = g ⊗ b, db = g ⊗ a (g broadcast across each row).

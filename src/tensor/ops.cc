@@ -717,23 +717,20 @@ Variable FusedMulSubSum(const Variable& t, const Variable& a,
 
 Variable CosineRowSimilarity(const Variable& a, const Variable& b) {
   DARE_CHECK(a.value().SameShape(b.value()));
-  const float eps = 1e-12f;  // RowL2Normalize's default.
   Variable out = NewResult(a.rows(), 1);
   // The row norms computed by the forward pass are stashed for the backward
   // closure, which would otherwise re-derive them (two dots per row).
   ScratchMatrix norms(Ws(), a.rows() * 2);
-  FusedCosineRowsInto(a.value(), b.value(), eps, &out.mutable_value(),
-                      norms.get());
+  FusedCosineRowsInto(a.value(), b.value(), &out.mutable_value(), norms.get());
   auto an = a.node();
   auto bn = b.node();
-  FinishOp(out, {an, bn},
-           [an, bn, eps, norms = std::move(norms)](Node& o) mutable {
+  FinishOp(out, {an, bn}, [an, bn, norms = std::move(norms)](Node& o) mutable {
     const bool need_a = NeedsGrad(an);
     const bool need_b = NeedsGrad(bn);
     if (!need_a && !need_b) return;
     ScratchMatrix da(Ws(), an->value().size());
     ScratchMatrix db(Ws(), bn->value().size());
-    FusedCosineRowsGradInto(an->value(), bn->value(), o.grad(), eps, *norms,
+    FusedCosineRowsGradInto(an->value(), bn->value(), o.grad(), *norms,
                             need_a ? da.get() : nullptr,
                             need_b ? db.get() : nullptr);
     // The eager chain visits RowL2Normalize(b) (higher id) before

@@ -12,6 +12,11 @@ namespace darec::tensor::simd {
 inline constexpr int64_t kMatMulRowTile = 4;   // C rows per register tile
 inline constexpr int64_t kMatMulColTile = 32;  // C cols per register tile
 
+/// Rows whose L2 norm is below this pass through the fused cosine kernels
+/// unnormalized — RowL2Normalize's default eps, so the fused op matches
+/// the eager chain.
+inline constexpr float kCosineEps = 1e-12f;
+
 /// The ISA-specialized inner loops of the tensor hot path. One table per
 /// compiled tier (scalar / AVX2+FMA / AVX-512F); tensor/matrix.cc calls
 /// through the table returned by Kernels().
@@ -78,16 +83,16 @@ struct KernelTable {
                              const float* a, const float* b, float g,
                              int64_t n);
   /// One row of RowSum(Mul(RowL2Normalize(a), RowL2Normalize(b))): norms as
-  /// float(sqrt(Σ double(v)·v)), rows below eps pass through, dot as a
-  /// double accumulation of the float products. Writes the two row norms to
-  /// norms[0] (na) and norms[1] (nb) for the backward pass.
+  /// float(sqrt(Σ double(v)·v)), rows below kCosineEps pass through, dot as
+  /// a double accumulation of the float products. Writes the two row norms
+  /// to norms[0] (na) and norms[1] (nb) for the backward pass.
   float (*fused_cosine_row)(const float* a, const float* b, int64_t cols,
-                            float eps, float* norms);
+                            float* norms);
   /// Backward of one cosine row: reuses the forward's stashed norms and
   /// applies the RowSum → Mul → RowL2Normalize gradient chain.
   void (*fused_cosine_row_grad)(float* da, float* db, const float* a,
                                 const float* b, float g, int64_t cols,
-                                float eps, const float* norms);
+                                const float* norms);
   /// One row of RowSum(Mul(a, b)): Σ_c double(a[c]*b[c]).
   float (*fused_rowdot_row)(const float* a, const float* b, int64_t cols);
   /// da[c] = g * b[c]; db[c] = g * a[c].

@@ -1,9 +1,11 @@
 #include "ckpt/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "ckpt/serialize.h"
 #include "core/failpoint.h"
@@ -301,6 +303,77 @@ TEST_F(CheckpointTest, CrashBeforeRenameLeavesPreviousCheckpointIntact) {
   EXPECT_TRUE(fs::exists(manager.PathForStep(2) + ".tmp"));
   EXPECT_EQ(manager.List().size(), 1u);
   EXPECT_EQ(manager.LoadLatest()->step, 1);
+}
+
+/// File names directly under `dir`, sorted.
+std::vector<std::string> DirectoryNames(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST_F(CheckpointTest, RotatedCheckpointsLeaveTheDirectoryBeforeSaveReturns) {
+  // keep_last = 1, so every Save after the first retires one checkpoint
+  // while the background thread may still be freeing the previous one.
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "single-file");
+    fs::remove_all(dir_);
+    CheckpointManagerOptions options;
+    options.dir = dir_;
+    options.keep_last = 1;
+    options.sharded = sharded;
+    const Bundle bundle = MakeTestBundle();
+    std::vector<std::string> expected;
+    {
+      CheckpointManager manager(options);
+      for (int64_t step = 1; step <= 6; ++step) {
+        ASSERT_TRUE(manager.Save(step, bundle).ok());
+        const std::vector<CheckpointEntry> entries = manager.List();
+        ASSERT_EQ(entries.size(), 1u);
+        EXPECT_EQ(entries[0].step, step);
+        const std::string stem = "ckpt-00000000000" + std::to_string(step);
+        expected = sharded ? std::vector<std::string>{stem + ".dckd", stem + ".dckm"}
+                           : std::vector<std::string>{stem + ".dckp"};
+        EXPECT_EQ(DirectoryNames(dir_), expected);
+        auto loaded = manager.LoadLatest();
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_EQ(loaded->bundle.sections, bundle.sections);
+      }
+    }
+    // Destruction waits for the queued blocks to be freed and leaves the
+    // kept checkpoint alone.
+    EXPECT_EQ(DirectoryNames(dir_), expected);
+  }
+}
+
+TEST_F(CheckpointTest, NextSaveRetiresCheckpointsACrashLeftBehind) {
+  // A crash after a commit but before its rotation leaves superseded
+  // checkpoints under their own names; the next Save retires them and
+  // touches nothing else in the directory.
+  CheckpointManagerOptions options;
+  options.dir = dir_;
+  options.keep_last = 10;
+  {
+    CheckpointManager manager(options);
+    for (int64_t step : {1, 2, 3}) {
+      ASSERT_TRUE(manager.Save(step, MakeTestBundle()).ok());
+    }
+  }
+  std::ofstream(dir_ + "/notes.txt") << "not a checkpoint";
+  std::ofstream(dir_ + "/ckpt-garbage.dckp") << "bad step";
+  options.keep_last = 2;
+  {
+    CheckpointManager manager(options);
+    ASSERT_TRUE(manager.Save(4, MakeTestBundle()).ok());
+    EXPECT_EQ(manager.List().size(), 2u);
+  }
+  EXPECT_EQ(DirectoryNames(dir_),
+            (std::vector<std::string>{"ckpt-000000000003.dckp",
+                                      "ckpt-000000000004.dckp",
+                                      "ckpt-garbage.dckp", "notes.txt"}));
 }
 
 TEST_F(CheckpointTest, NegativeStepRejected) {

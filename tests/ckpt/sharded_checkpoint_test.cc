@@ -13,6 +13,7 @@
 #include "core/thread_pool.h"
 #include "gtest/gtest.h"
 #include "tensor/init.h"
+#include "test_util.h"
 
 namespace darec::ckpt {
 namespace {
@@ -216,12 +217,12 @@ TEST_F(ShardedCheckpointTest, EveryManifestBitFlipDetected) {
   const std::string pristine = ReadAll(manifest);
   for (size_t byte = 0; byte < pristine.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
-      std::string flipped = pristine;
-      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
-      WriteAll(manifest, flipped);
+      const auto mask = static_cast<unsigned char>(1 << bit);
+      darec::testing::FlipByteInPlace(manifest, byte, mask);
       EXPECT_FALSE(manager.LoadPath(manifest).ok())
           << "flip of bit " << bit << " in manifest byte " << byte
           << " went undetected";
+      darec::testing::FlipByteInPlace(manifest, byte, mask);
     }
   }
 }
@@ -237,15 +238,14 @@ TEST_F(ShardedCheckpointTest, EverySectionFileBitFlipDetected) {
     const std::string pristine = ReadAll(path);
     for (size_t byte = 0; byte < pristine.size(); ++byte) {
       for (int bit = 0; bit < 8; ++bit) {
-        std::string flipped = pristine;
-        flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
-        WriteAll(path, flipped);
+        const auto mask = static_cast<unsigned char>(1 << bit);
+        darec::testing::FlipByteInPlace(path, byte, mask);
         EXPECT_FALSE(manager.LoadPath(manifest).ok())
             << "flip of bit " << bit << " in byte " << byte << " of "
             << entry.path().filename() << " went undetected";
+        darec::testing::FlipByteInPlace(path, byte, mask);
       }
     }
-    WriteAll(path, pristine);
   }
 
   // Truncation and a missing section file are caught too.

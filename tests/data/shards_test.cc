@@ -20,6 +20,7 @@
 #include "gtest/gtest.h"
 #include "tensor/alloc_stats.h"
 #include "tensor/init.h"
+#include "test_util.h"
 
 namespace darec::data {
 namespace {
@@ -178,13 +179,13 @@ TEST_F(ShardsTest, EveryManifestBitFlipDetected) {
   const std::string pristine = ReadAll(manifest_path);
   for (size_t byte = 0; byte < pristine.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
-      std::string flipped = pristine;
-      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
-      WriteAll(manifest_path, flipped);
+      const auto mask = static_cast<unsigned char>(1 << bit);
+      darec::testing::FlipByteInPlace(manifest_path, byte, mask);
       auto store = ShardedInteractions::Open(manifest_path);
       EXPECT_FALSE(store.ok())
           << "flip of bit " << bit << " in manifest byte " << byte
           << " went undetected";
+      darec::testing::FlipByteInPlace(manifest_path, byte, mask);
     }
   }
 }
@@ -200,9 +201,7 @@ TEST_F(ShardsTest, EveryShardFileBitFlipDetected) {
     for (size_t byte = 0; byte < pristine.size(); ++byte) {
       // One flip per byte keeps the sweep linear; the CRC math does not
       // care which bit of the byte flips.
-      std::string flipped = pristine;
-      flipped[byte] = static_cast<char>(flipped[byte] ^ 0x10);
-      WriteAll(path, flipped);
+      darec::testing::FlipByteInPlace(path, byte, 0x10);
       auto store = ShardedInteractions::Open(manifest_path);
       ASSERT_TRUE(store.ok()) << store.status().ToString();
       bool detected = false;
@@ -211,8 +210,8 @@ TEST_F(ShardsTest, EveryShardFileBitFlipDetected) {
       }
       EXPECT_TRUE(detected) << "flip in byte " << byte << " of "
                             << entry.path().filename() << " went undetected";
+      darec::testing::FlipByteInPlace(path, byte, 0x10);
     }
-    WriteAll(path, pristine);
   }
 }
 

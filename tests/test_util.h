@@ -2,7 +2,10 @@
 #define DAREC_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstddef>
+#include <fstream>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -45,6 +48,23 @@ inline void ExpectGradientsMatch(
       }
     }
   }
+}
+
+/// XORs `mask` into byte `offset` of the file at `path`, in place; calling
+/// it twice restores the byte. Corruption sweeps flip this way rather than
+/// rewrite the file: a rewrite truncates it first, and on a disk mounted
+/// with online discard every truncation of written blocks takes tens of
+/// milliseconds.
+inline void FlipByteInPlace(const std::string& path, size_t offset,
+                            unsigned char mask) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.is_open()) << path;
+  char byte = 0;
+  file.seekg(static_cast<std::streamoff>(offset));
+  ASSERT_TRUE(file.get(byte)) << path << ": no byte " << offset;
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.put(static_cast<char>(byte ^ static_cast<char>(mask)));
+  ASSERT_TRUE(file.flush()) << path;
 }
 
 }  // namespace darec::testing
